@@ -14,10 +14,14 @@
 //!   throughput must be at least 3x the per-element baseline,
 //! * byteswapped 1 M-f64 decode must be ≥1.5x the scalar kernel twin
 //!   (skipped when no SIMD tier is live), and
-//! * XML encode must be ≥400 MB/s (2x the pre-SIMD ~200 MB/s)
+//! * XML encode must be ≥400 MB/s (2x the pre-SIMD ~200 MB/s),
+//! * XML decode of 1 M f64 must be ≥230 MB/s (2x the 115 MB/s of the
+//!   owned-event parser), and
+//! * XML decode must make at most 10 allocations per op at every size
 //!
-//! (throughput gates advisory under `--short`, enforced in full mode);
-//! exiting nonzero otherwise. Per-kernel rows (`swap16/32/64`, `widen`,
+//! (throughput gates advisory under `--short`, enforced in full mode; the
+//! allocation gate is deterministic and enforced in both), exiting
+//! nonzero otherwise. Per-kernel rows (`swap16/32/64`, `widen`,
 //! `f32_to_f64`, `xml.escape_scan`) compare each dispatched entry point
 //! to its scalar twin on preallocated buffers. Results go to
 //! `BENCH_marshal.json`, which is committed at the repo root.
@@ -221,6 +225,10 @@ fn main() {
     let mut swap_1m = (0.0f64, 0.0f64);
     // XML encode MB/s at the largest size measured this run.
     let mut xml_encode_mbps = 0.0f64;
+    // XML decode: MB/s at 1M f64 (full runs only) and the most
+    // allocations one decode made at any size.
+    let mut xml_decode_1m_mbps = 0.0f64;
+    let mut xml_decode_max_allocs = 0u64;
 
     println!(
         "marshal hot-path benchmark ({} mode, min of {iters} runs)\n",
@@ -439,6 +447,11 @@ fn main() {
             },
         );
         let d = time_min(iters, || marshal::parse_document(&xml, &ty).unwrap());
+        let dec_allocs = allocs_in(|| marshal::parse_document(&xml, &ty).unwrap());
+        xml_decode_max_allocs = xml_decode_max_allocs.max(dec_allocs);
+        if n == 1_000_000 {
+            xml_decode_1m_mbps = mbps(xml_bytes, d);
+        }
         report(
             &mut rows,
             Row {
@@ -447,7 +460,7 @@ fn main() {
                 elems: n,
                 bytes: xml_bytes,
                 mbps: mbps(xml_bytes, d),
-                allocs: allocs_in(|| marshal::parse_document(&xml, &ty).unwrap()),
+                allocs: dec_allocs,
             },
         );
         let lz = sbq_lz::compress(xml.as_bytes());
@@ -641,6 +654,10 @@ fn main() {
          xml encode {xml_encode_mbps:.0} MB/s",
         swap_1m.1, swap_1m.0
     );
+    println!(
+        "xml decode: {xml_decode_1m_mbps:.0} MB/s at 1M f64 (0 = not measured), \
+         at most {xml_decode_max_allocs} allocs/op"
+    );
     let pool = marshal_pool();
     let pool_stats = pool.stats();
     let (pool_jobs, pool_steals, pool_chunks) = (
@@ -675,6 +692,10 @@ fn main() {
         swap_1m.1, swap_1m.0
     ));
     json.push_str(&format!("  \"xml_encode_mbps\": {xml_encode_mbps:.1},\n"));
+    json.push_str(&format!(
+        "  \"xml_decode\": {{\"mbps_1m_f64\": {xml_decode_1m_mbps:.1}, \
+         \"max_allocs_per_op\": {xml_decode_max_allocs}}},\n"
+    ));
     json.push_str(&format!(
         "  \"speedup\": {{\"encode\": {speedup_enc:.2}, \"decode\": {speedup_dec:.2}, \
          \"combined\": {combined:.2}}},\n"
@@ -729,6 +750,21 @@ fn main() {
         xml_encode_mbps >= 400.0,
         format!("xml encode {xml_encode_mbps:.0} MB/s < 400 MB/s (2x the pre-SIMD ~200 MB/s)"),
     );
+    if !short {
+        gate(
+            xml_decode_1m_mbps >= 230.0,
+            format!(
+                "xml decode {xml_decode_1m_mbps:.0} MB/s < 230 MB/s at 1M f64 \
+                 (2x the owned-event parser's 115 MB/s)"
+            ),
+        );
+    }
+    // Allocation counts do not depend on load, so this gate holds under
+    // --short too.
+    if xml_decode_max_allocs > 10 {
+        eprintln!("self-check failed: xml decode made {xml_decode_max_allocs} allocs/op (> 10)");
+        gate_failed = true;
+    }
     if gate_failed {
         std::process::exit(1);
     }

@@ -306,7 +306,9 @@ pub struct SoapClient {
     http: HttpClient,
     addr: SocketAddr,
     config: ClientConfig,
-    compiled: CompiledService,
+    /// Shared so a call can hold its stub while it borrows the client
+    /// mutably, without copying the schema.
+    compiled: Arc<CompiledService>,
     encoding: WireEncoding,
     endpoint: PbioEndpoint,
     pool: BufferPool,
@@ -361,7 +363,7 @@ impl SoapClient {
             http,
             addr,
             config,
-            compiled,
+            compiled: Arc::new(compiled),
             encoding,
             endpoint: PbioEndpoint::new(Arc::new(FormatServer::new())),
             pool,
@@ -559,11 +561,10 @@ impl SoapClient {
         is_retry: bool,
         attempt: &mut TraceSpan,
     ) -> Result<Value, SoapError> {
-        let stub = self
-            .compiled
+        let compiled = Arc::clone(&self.compiled);
+        let stub = compiled
             .stub(operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?;
 
         let header = QosHeader {
             timestamp_us: 0, // echoed value unused: we time locally
@@ -646,8 +647,7 @@ impl SoapClient {
         let stub = self
             .compiled
             .stub(operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?;
         let params = marshal::parse_document(params_xml, &stub.input)?;
         let result = self.call(operation, params)?;
         Ok(marshal::value_to_xml(
@@ -756,32 +756,19 @@ impl SoapClient {
                 };
                 let xml = std::str::from_utf8(xml_bytes)
                     .map_err(|_| SoapError::xml("response is not utf-8"))?;
-                // Resolve the body type: reduced message types parse with
-                // their registered schema, everything else with the full
-                // output type. (Faults are handled inside parse_envelope.)
+                // Resolve the body type from the header, which precedes
+                // the body: a reduced message type the quality config knows
+                // parses with its registered schema, everything else with
+                // the full output type. (Faults are handled inside
+                // parse_envelope_with.)
                 let quality = &self.quality;
-                let parsed = envelope::parse_envelope(xml, |_op| {
-                    // The header is not yet available to this closure, so
-                    // resolution happens in two steps below on mismatch.
-                    Some(output_ty.clone())
-                });
-                let parsed = match parsed {
-                    Ok(p) => p,
-                    Err(first_err) => {
-                        // Retry with the reduced type named in the header,
-                        // if the quality config knows it.
-                        let hdr = peek_header(xml);
-                        let reduced = hdr.message_type.as_deref().and_then(|mt| {
-                            quality
-                                .as_ref()
-                                .and_then(|q| q.message_type_def(mt).cloned())
-                        });
-                        match reduced {
-                            Some(ty) => envelope::parse_envelope(xml, |_| Some(ty.clone()))?,
-                            None => return Err(first_err),
-                        }
-                    }
-                };
+                let parsed = envelope::parse_envelope_with(xml, |_op, header| {
+                    let reduced = header
+                        .message_type
+                        .as_deref()
+                        .and_then(|mt| quality.as_ref()?.message_type_def(mt));
+                    Some(reduced.unwrap_or(output_ty))
+                })?;
                 let mut value = parsed.value;
                 if parsed.header.message_type.is_some() {
                     value = pad_to(&value, output_ty)?;
@@ -789,33 +776,6 @@ impl SoapClient {
                 self.pool.put(std::mem::take(&mut resp.body));
                 Ok((value, parsed.header))
             }
-        }
-    }
-}
-
-/// Parses only the QoS header of an envelope (used to discover the reduced
-/// message type before re-parsing the body with the right schema).
-fn peek_header(xml: &str) -> QosHeader {
-    match envelope::parse_envelope(xml, |_| None) {
-        // Body resolution always fails with `None`, but the header was
-        // parsed before the body — recover it from the error path below.
-        Ok(p) => p.header,
-        Err(_) => {
-            // Fall back to a targeted scan of the header section.
-            let mut h = QosHeader::default();
-            if let Some(start) = xml.find("<qos:messageType>") {
-                let rest = &xml[start + "<qos:messageType>".len()..];
-                if let Some(end) = rest.find("</qos:messageType>") {
-                    h.message_type = Some(sbq_xml::unescape(&rest[..end]));
-                }
-            }
-            if let Some(start) = xml.find("<qos:serverTime>") {
-                let rest = &xml[start + "<qos:serverTime>".len()..];
-                if let Some(end) = rest.find("</qos:serverTime>") {
-                    h.server_time_us = rest[..end].trim().parse().unwrap_or(0);
-                }
-            }
-            h
         }
     }
 }

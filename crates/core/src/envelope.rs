@@ -12,10 +12,12 @@
 //! encodings they ride as HTTP headers, since no XML envelope exists on
 //! the wire at all.
 
-use crate::marshal::{value_from_xml, value_to_xml};
+use crate::marshal::{value_from_xml, value_to_xml_into};
 use crate::SoapError;
-use sbq_model::{TypeDesc, Value};
-use sbq_xml::{escape_text, Event, PullParser};
+use sbq_model::{numfmt, TypeDesc, Value};
+use sbq_xml::{escape_text, escape_text_into, Event, PullParser};
+use std::borrow::Borrow;
+use std::fmt::Write as _;
 
 const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
 
@@ -69,25 +71,23 @@ impl QosHeader {
     }
 
     fn write_xml(&self, out: &mut String) {
-        out.push_str("<soap:Header>");
-        out.push_str(&format!(
-            "<qos:timestamp>{}</qos:timestamp>",
-            self.timestamp_us
-        ));
+        out.push_str("<soap:Header><qos:timestamp>");
+        numfmt::write_u64(out, self.timestamp_us);
+        out.push_str("</qos:timestamp>");
         if let Some(rtt) = self.rtt_ms {
-            out.push_str(&format!("<qos:rtt>{rtt}</qos:rtt>"));
+            // `Display`, not numfmt: the rendering is part of the wire
+            // format peers already parse.
+            let _ = write!(out, "<qos:rtt>{rtt}</qos:rtt>");
         }
         if self.server_time_us > 0 {
-            out.push_str(&format!(
-                "<qos:serverTime>{}</qos:serverTime>",
-                self.server_time_us
-            ));
+            out.push_str("<qos:serverTime>");
+            numfmt::write_u64(out, self.server_time_us);
+            out.push_str("</qos:serverTime>");
         }
         if let Some(mt) = &self.message_type {
-            out.push_str(&format!(
-                "<qos:messageType>{}</qos:messageType>",
-                escape_text(mt)
-            ));
+            out.push_str("<qos:messageType>");
+            escape_text_into(mt, out);
+            out.push_str("</qos:messageType>");
         }
         out.push_str("</soap:Header>");
     }
@@ -103,16 +103,19 @@ pub fn build_response(operation: &str, result: &Value, header: &QosHeader) -> St
     build_envelope(&format!("{operation}Response"), result, header)
 }
 
+/// Room for the prolog, the QoS header and the closing tags, so the body
+/// estimate alone decides when the buffer grows.
+const ENVELOPE_SLACK: usize = 512;
+
 fn build_envelope(body_tag: &str, value: &Value, header: &QosHeader) -> String {
-    let body = value_to_xml(value, body_tag);
-    let mut out = String::with_capacity(body.len() + 256);
+    let mut out = String::with_capacity(ENVELOPE_SLACK + value.native_size() * 4);
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
-    out.push_str(&format!(
-        "<soap:Envelope xmlns:soap=\"{ENVELOPE_NS}\" xmlns:qos=\"urn:soap-binq:qos\">"
-    ));
+    out.push_str("<soap:Envelope xmlns:soap=\"");
+    out.push_str(ENVELOPE_NS);
+    out.push_str("\" xmlns:qos=\"urn:soap-binq:qos\">");
     header.write_xml(&mut out);
     out.push_str("<soap:Body>");
-    out.push_str(&body);
+    value_to_xml_into(value, body_tag, &mut out);
     out.push_str("</soap:Body></soap:Envelope>");
     out
 }
@@ -146,11 +149,23 @@ pub struct ParsedEnvelope {
     pub value: Value,
 }
 
-/// Parses an envelope whose body type must be resolved from the operation
-/// element name (servers use this: the element tells them which stub).
-pub fn parse_envelope(
+/// Parses an envelope whose body type is resolved from the operation
+/// element name alone (servers use this: the element tells them which
+/// stub). See [`parse_envelope_with`].
+pub fn parse_envelope<T: Borrow<TypeDesc>>(
     xml: &str,
-    resolve: impl Fn(&str) -> Option<TypeDesc>,
+    resolve: impl Fn(&str) -> Option<T>,
+) -> Result<ParsedEnvelope, SoapError> {
+    parse_envelope_with(xml, |op, _| resolve(op))
+}
+
+/// Parses an envelope in one pass. The body type is resolved from the
+/// operation element name and the QoS header, which precedes the body: a
+/// client picks the reduced schema named by `message_type` this way. The
+/// resolver may lend the schema (`&TypeDesc`) or hand over an owned one.
+pub fn parse_envelope_with<T: Borrow<TypeDesc>>(
+    xml: &str,
+    resolve: impl Fn(&str, &QosHeader) -> Option<T>,
 ) -> Result<ParsedEnvelope, SoapError> {
     let mut p = PullParser::new(xml);
     expect_start(&mut p, "Envelope")?;
@@ -158,16 +173,16 @@ pub fn parse_envelope(
 
     loop {
         match p.next()? {
-            Event::Start { name, .. } if local(&name) == "Header" => {
+            Event::Start { name, .. } if local(name) == "Header" => {
                 header = parse_header(&mut p)?;
             }
-            Event::Start { name, .. } if local(&name) == "Body" => {
+            Event::Start { name, .. } if local(name) == "Body" => {
                 let (op, value) = parse_body(&mut p, &resolve, &header)?;
                 // Consume </Body> and </Envelope>.
                 consume_end(&mut p)?;
                 consume_end(&mut p)?;
                 return Ok(ParsedEnvelope {
-                    operation: op,
+                    operation: op.to_string(),
                     header,
                     value,
                 });
@@ -189,11 +204,11 @@ fn parse_header(p: &mut PullParser<'_>) -> Result<QosHeader, SoapError> {
         match p.next()? {
             Event::Start { name, .. } => {
                 let text = p.text_content()?;
-                match local(&name) {
+                match local(name) {
                     "timestamp" => h.timestamp_us = text.trim().parse().unwrap_or(0),
                     "rtt" => h.rtt_ms = text.trim().parse().ok(),
                     "serverTime" => h.server_time_us = text.trim().parse().unwrap_or(0),
-                    "messageType" => h.message_type = Some(text),
+                    "messageType" => h.message_type = Some(text.into_owned()),
                     _ => {} // unknown header entries are ignored
                 }
             }
@@ -204,21 +219,20 @@ fn parse_header(p: &mut PullParser<'_>) -> Result<QosHeader, SoapError> {
     }
 }
 
-fn parse_body(
-    p: &mut PullParser<'_>,
-    resolve: &impl Fn(&str) -> Option<TypeDesc>,
+fn parse_body<'a, T: Borrow<TypeDesc>>(
+    p: &mut PullParser<'a>,
+    resolve: &impl Fn(&str, &QosHeader) -> Option<T>,
     header: &QosHeader,
-) -> Result<(String, Value), SoapError> {
+) -> Result<(&'a str, Value), SoapError> {
     loop {
         match p.next()? {
             Event::Start { name, .. } => {
-                if local(&name) == "Fault" {
+                if local(name) == "Fault" {
                     return Err(parse_fault(p));
                 }
-                let op = name.clone();
-                let ty = resolve(&op).ok_or_else(|| {
+                let ty = resolve(name, header).ok_or_else(|| {
                     SoapError::protocol(format!(
-                        "unknown operation element <{op}>{}",
+                        "unknown operation element <{name}>{}",
                         header
                             .message_type
                             .as_deref()
@@ -226,8 +240,8 @@ fn parse_body(
                             .unwrap_or_default()
                     ))
                 })?;
-                let value = value_from_xml(p, &ty)?;
-                return Ok((op, value));
+                let value = value_from_xml(p, ty.borrow())?;
+                return Ok((name, value));
             }
             Event::Text(_) => {}
             other => return Err(SoapError::xml(format!("empty soap body ({other:?})"))),
@@ -241,8 +255,8 @@ fn parse_fault(p: &mut PullParser<'_>) -> SoapError {
     loop {
         match p.next() {
             Ok(Event::Start { name, .. }) => {
-                let text = p.text_content().unwrap_or_default();
-                match local(&name) {
+                let text = p.text_content().unwrap_or_default().into_owned();
+                match local(name) {
                     "faultcode" => code = text,
                     "faultstring" => message = text,
                     _ => {}
@@ -258,7 +272,7 @@ fn parse_fault(p: &mut PullParser<'_>) -> SoapError {
 fn expect_start(p: &mut PullParser<'_>, what: &str) -> Result<(), SoapError> {
     loop {
         match p.next()? {
-            Event::Start { name, .. } if local(&name) == what => return Ok(()),
+            Event::Start { name, .. } if local(name) == what => return Ok(()),
             Event::Start { name, .. } => {
                 return Err(SoapError::xml(format!("expected <{what}>, found <{name}>")))
             }
@@ -308,6 +322,37 @@ mod tests {
     }
 
     #[test]
+    fn envelope_bytes_are_pinned() {
+        // The wire form peers parse, byte for byte: every header field set,
+        // one that needs escaping, and a struct body.
+        let h = QosHeader {
+            timestamp_us: 123456,
+            rtt_ms: Some(42.5),
+            server_time_us: 9,
+            message_type: Some("a<b".into()),
+        };
+        let body = TypeDesc::struct_of("s", vec![("a", TypeDesc::Int), ("b", TypeDesc::Float)]);
+        let v = Value::Struct(sbq_model::StructValue::new(
+            "s",
+            vec![
+                ("a".into(), Value::Int(-7)),
+                ("b".into(), Value::Float(0.1)),
+            ],
+        ));
+        let xml = build_response("op", &v, &h);
+        assert_eq!(
+            xml,
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><soap:Envelope \
+             xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\" \
+             xmlns:qos=\"urn:soap-binq:qos\"><soap:Header><qos:timestamp>123456</qos:timestamp>\
+             <qos:rtt>42.5</qos:rtt><qos:serverTime>9</qos:serverTime>\
+             <qos:messageType>a&lt;b</qos:messageType></soap:Header><soap:Body>\
+             <opResponse><a>-7</a><b>0.1</b></opResponse></soap:Body></soap:Envelope>"
+        );
+        assert_eq!(parse_envelope(&xml, |_| Some(&body)).unwrap().value, v);
+    }
+
+    #[test]
     fn response_wrapper_named_after_operation() {
         let xml = build_response("ping", &Value::Int(1), &QosHeader::default());
         let parsed = parse_envelope(&xml, resolver(TypeDesc::Int)).unwrap();
@@ -342,7 +387,7 @@ mod tests {
     #[test]
     fn unknown_operation_rejected() {
         let xml = build_request("mystery", &Value::Int(1), &QosHeader::default());
-        let err = parse_envelope(&xml, |_| None).unwrap_err();
+        let err = parse_envelope(&xml, |_| None::<TypeDesc>).unwrap_err();
         assert!(matches!(err, SoapError::Protocol(_)));
     }
 

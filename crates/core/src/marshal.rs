@@ -11,6 +11,7 @@
 use crate::SoapError;
 use sbq_model::{numfmt, StructValue, TypeDesc, Value};
 use sbq_xml::{escape_text_into, Event, PullParser};
+use std::str::FromStr;
 
 /// Serializes a value as an XML element named `tag` (compact form — the
 /// wire representation whose size the experiments measure).
@@ -125,95 +126,109 @@ fn write_leaf(out: &mut String, tag: &str, text: &str) {
 /// Parses the XML element currently *opened* in `parser` into a value of
 /// schema `ty`. The caller has consumed the `Start` event; this consumes
 /// everything up to and including the matching `End`.
+///
+/// Scalars parse straight from the borrowed text, and lists of ints or
+/// floats decode directly into packed vectors without a per-item `Value`.
 pub fn value_from_xml(parser: &mut PullParser<'_>, ty: &TypeDesc) -> Result<Value, SoapError> {
     match ty {
-        TypeDesc::Int => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| SoapError::xml(format!("bad int literal {text:?}")))
-        }
-        TypeDesc::Float => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| SoapError::xml(format!("bad float literal {text:?}")))
-        }
-        TypeDesc::Char => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<u8>()
-                .map(Value::Char)
-                .map_err(|_| SoapError::xml(format!("bad char literal {text:?}")))
-        }
-        TypeDesc::Str => Ok(Value::Str(parser.text_content()?)),
+        TypeDesc::Int => literal(&parser.text_content()?, "int").map(Value::Int),
+        TypeDesc::Float => literal(&parser.text_content()?, "float").map(Value::Float),
+        TypeDesc::Char => literal(&parser.text_content()?, "char").map(Value::Char),
+        TypeDesc::Str => Ok(Value::Str(parser.text_content()?.into_owned())),
         TypeDesc::Bytes => {
             let text = parser.text_content()?;
             sbq_model::base64::decode(&text)
                 .map(Value::Bytes)
                 .ok_or_else(|| SoapError::xml("bad base64 literal"))
         }
-        TypeDesc::List(elem) => {
-            let mut items = Vec::new();
-            loop {
-                match parser.next()? {
-                    Event::Start { .. } => items.push(value_from_xml(parser, elem)?),
-                    Event::End { .. } => break,
-                    Event::Text(t) if t.trim().is_empty() => {}
-                    Event::Text(t) => {
-                        return Err(SoapError::xml(format!("unexpected text {t:?} in list")))
-                    }
-                    Event::Eof => return Err(SoapError::xml("eof in list")),
-                }
+        TypeDesc::List(elem) => match **elem {
+            TypeDesc::Int => packed(parser, "int").map(Value::IntArray),
+            TypeDesc::Float => packed(parser, "float").map(Value::FloatArray),
+            _ => {
+                let mut items = Vec::new();
+                children(parser, "list", |p, _| {
+                    items.push(value_from_xml(p, elem)?);
+                    Ok(())
+                })?;
+                Ok(Value::List(items))
             }
-            // Pack homogeneous scalar lists.
-            Ok(match **elem {
-                TypeDesc::Int => {
-                    Value::IntArray(items.iter().map(Value::as_int).collect::<Result<_, _>>()?)
-                }
-                TypeDesc::Float => Value::FloatArray(
-                    items
-                        .iter()
-                        .map(Value::as_float)
-                        .collect::<Result<_, _>>()?,
-                ),
-                _ => Value::List(items),
-            })
-        }
+        },
         TypeDesc::Struct(sd) => {
-            let mut fields: Vec<(String, Value)> = Vec::with_capacity(sd.fields.len());
-            loop {
-                match parser.next()? {
-                    Event::Start { name, .. } => {
-                        let fty = sd.field(&name).ok_or_else(|| {
-                            SoapError::xml(format!("unknown field <{name}> in {}", sd.name))
-                        })?;
-                        fields.push((name, value_from_xml(parser, fty)?));
-                    }
-                    Event::End { .. } => break,
-                    Event::Text(t) if t.trim().is_empty() => {}
-                    Event::Text(t) => {
-                        return Err(SoapError::xml(format!("unexpected text {t:?} in struct")))
-                    }
-                    Event::Eof => return Err(SoapError::xml("eof in struct")),
-                }
-            }
-            // Fields may arrive in any order; emit them in schema order,
-            // requiring each exactly once.
-            let mut ordered = Vec::with_capacity(sd.fields.len());
-            for (fname, _) in &sd.fields {
-                let idx = fields
+            // Fields may arrive in any order; each lands in its schema
+            // slot, so a repeated field is rejected as soon as it appears.
+            let mut slots: Vec<Option<Value>> = vec![None; sd.fields.len()];
+            children(parser, "struct", |p, name| {
+                let idx = sd
+                    .fields
                     .iter()
-                    .position(|(n, _)| n == fname)
-                    .ok_or_else(|| SoapError::xml(format!("missing field <{fname}>")))?;
-                ordered.push(fields.remove(idx));
+                    .position(|(n, _)| n == name)
+                    .ok_or_else(|| {
+                        SoapError::xml(format!("unknown field <{name}> in {}", sd.name))
+                    })?;
+                if slots[idx].is_some() {
+                    return Err(SoapError::xml(format!("duplicate field <{name}>")));
+                }
+                slots[idx] = Some(value_from_xml(p, &sd.fields[idx].1)?);
+                Ok(())
+            })?;
+            // Emit in schema order, requiring each field exactly once.
+            let fields = sd
+                .fields
+                .iter()
+                .zip(slots)
+                .map(|((fname, _), v)| {
+                    v.map(|v| (fname.clone(), v))
+                        .ok_or_else(|| SoapError::xml(format!("missing field <{fname}>")))
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(Value::Struct(StructValue::new(sd.name.clone(), fields)))
+        }
+    }
+}
+
+/// Parses a scalar literal with the `trim` + `str::parse` rules every XML
+/// number goes through.
+fn literal<T: FromStr>(text: &str, what: &str) -> Result<T, SoapError> {
+    text.trim()
+        .parse()
+        .map_err(|_| SoapError::xml(format!("bad {what} literal {text:?}")))
+}
+
+/// The shortest element that can hold a number, `<a>0</a>`.
+const MIN_ITEM_BYTES: usize = 8;
+
+/// Decodes the items of an int or float list straight into a packed
+/// vector. Capacity comes from the bytes left to parse, never from a
+/// declared count, so the buffer is at most as large as the input and the
+/// items never outgrow it; the excess is released once the list closes.
+fn packed<T: FromStr>(parser: &mut PullParser<'_>, what: &str) -> Result<Vec<T>, SoapError> {
+    let mut out = Vec::with_capacity(parser.remaining() / MIN_ITEM_BYTES);
+    children(parser, "list", |p, _| {
+        out.push(literal(&p.text_content()?, what)?);
+        Ok(())
+    })?;
+    out.shrink_to_fit();
+    Ok(out)
+}
+
+/// Walks the child elements of the open element `what` (a list or a
+/// struct), calling `child` with each child's name after its `Start`;
+/// `child` must consume through the matching `End`. Whitespace between
+/// children is skipped, any other text is an error.
+fn children<'a>(
+    parser: &mut PullParser<'a>,
+    what: &str,
+    mut child: impl FnMut(&mut PullParser<'a>, &'a str) -> Result<(), SoapError>,
+) -> Result<(), SoapError> {
+    loop {
+        match parser.next()? {
+            Event::Start { name, .. } => child(parser, name)?,
+            Event::End { .. } => return Ok(()),
+            Event::Text(t) if t.trim().is_empty() => {}
+            Event::Text(t) => {
+                return Err(SoapError::xml(format!("unexpected text {t:?} in {what}")))
             }
-            if let Some((extra, _)) = fields.first() {
-                return Err(SoapError::xml(format!("duplicate field <{extra}>")));
-            }
-            Ok(Value::Struct(StructValue::new(sd.name.clone(), ordered)))
+            Event::Eof => return Err(SoapError::xml(format!("eof in {what}"))),
         }
     }
 }

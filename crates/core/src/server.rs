@@ -485,8 +485,7 @@ impl ServerState {
         let stub = self
             .compiled
             .stub(&operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?;
         let handler = self
             .handlers
             .get(&operation)
@@ -515,8 +514,9 @@ impl ServerState {
 
         let t0 = Instant::now();
         let original = handler(params);
-        // Quality-manage the response value.
-        let (result, message_type) = match (&self.fleet, &self.quality) {
+        // Quality-manage the response value. Servers without quality
+        // management send the handler's value as is.
+        let prepared = match (&self.fleet, &self.quality) {
             (Some(f), Some(q)) => {
                 // Per-client band; under overload every admitted call is
                 // answered one band below the caller's own.
@@ -528,24 +528,24 @@ impl ServerState {
                     f.fleet.note_degraded();
                 }
                 let rule = f.fleet.rule(band).clone();
-                let prepared = q.lock().apply_rule(&rule, Some(band), &original);
-                (prepared.value, Some(prepared.message_type))
+                Some(q.lock().apply_rule(&rule, Some(band), &original))
             }
-            (None, Some(q)) => {
-                let prepared = q.lock().prepare(&original);
-                (prepared.value, Some(prepared.message_type))
-            }
-            _ => (original.clone(), None),
+            (None, Some(q)) => Some(q.lock().prepare(&original)),
+            _ => None,
         };
         let server_time = t0.elapsed();
 
-        if message_type.is_some() && result != original {
-            self.reduced_responses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.reduced.inc();
-        }
-        if let Some(mt) = &message_type {
-            self.metrics.message_type(mt);
-        }
+        let (result, message_type) = match prepared {
+            Some(p) => {
+                if p.value != original {
+                    self.reduced_responses.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.reduced.inc();
+                }
+                self.metrics.message_type(&p.message_type);
+                (p.value, Some(p.message_type))
+            }
+            None => (original, None),
+        };
 
         let resp_header = QosHeader {
             timestamp_us: qos.timestamp_us, // echo for client-side RTT
@@ -555,7 +555,7 @@ impl ServerState {
         };
         let _span = Span::on(&self.metrics.encode);
         let _tspan = self.metrics.trace_child(&self.metrics.encode_name, parent);
-        self.encode_response(&operation, &result, &stub, &resp_header, session)
+        self.encode_response(&operation, &result, stub, &resp_header, session)
     }
 
     fn decode_request(&self, req: &Request) -> Result<(String, Value, QosHeader, u64), SoapError> {
@@ -625,7 +625,7 @@ impl ServerState {
                     .map_err(|_| SoapError::xml("request is not utf-8"))?;
                 let compiled = &self.compiled;
                 let parsed =
-                    envelope::parse_envelope(xml, |op| compiled.stub(op).map(|s| s.input.clone()))?;
+                    envelope::parse_envelope(xml, |op| compiled.stub(op).map(|s| &s.input))?;
                 Ok((parsed.operation, parsed.value, parsed.header, 0))
             }
         }

@@ -112,11 +112,14 @@ mod tests {
         let mut p = sbq_xml::PullParser::new(&svg);
         loop {
             match p.next().unwrap() {
-                sbq_xml::Event::Start { name, attrs } if name == "circle" => {
+                sbq_xml::Event::Start {
+                    name: "circle",
+                    attrs,
+                } => {
                     let get = |k: &str| -> f64 {
                         attrs
                             .iter()
-                            .find(|(n, _)| n == k)
+                            .find(|(n, _)| *n == k)
                             .unwrap()
                             .1
                             .parse()

@@ -3,6 +3,7 @@
 use crate::model::{OperationDef, ServiceDef};
 use sbq_model::{StructDesc, TypeDesc};
 use sbq_xml::{Event, PullParser};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// WSDL parse errors.
@@ -79,11 +80,11 @@ pub fn parse_wsdl(doc: &str) -> Result<ServiceDef, WsdlError> {
     Ok(svc)
 }
 
-fn attr<'a>(attrs: &'a [(String, String)], name: &str) -> Option<&'a str> {
+fn attr<'a>(attrs: &'a [(&str, Cow<'_, str>)], name: &str) -> Option<&'a str> {
     attrs
         .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v.as_str())
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v.as_ref())
 }
 
 fn local(name: &str) -> &str {
@@ -102,7 +103,7 @@ fn scan(doc: &str) -> Result<RawDoc, WsdlError> {
 
     loop {
         match p.next()? {
-            Event::Start { name, attrs } => match local(&name) {
+            Event::Start { name, attrs } => match local(name) {
                 "definitions" => {
                     saw_definitions = true;
                     raw.name = attr(&attrs, "name").unwrap_or("Service").to_string();
@@ -167,7 +168,7 @@ fn scan(doc: &str) -> Result<RawDoc, WsdlError> {
                 }
                 _ => {}
             },
-            Event::End { name } => match local(&name) {
+            Event::End { name } => match local(name) {
                 "complexType" => {
                     if let Some((tname, fields)) = cur_type.take() {
                         raw.type_order.push(tname.clone());

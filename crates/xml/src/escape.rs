@@ -9,6 +9,7 @@
 //! at memcpy speed instead of char-by-char.
 
 use sbq_runtime::simd;
+use std::borrow::Cow;
 
 /// Escapes text content: `&`, `<`, `>`.
 pub fn escape_text(s: &str) -> String {
@@ -70,10 +71,11 @@ const MAX_ENTITY_LEN: usize = 16;
 /// Decodes the five predefined entities plus decimal (`&#NN;`) and hex
 /// (`&#xNN;`) character references. Unknown or malformed references are
 /// passed through verbatim (lenient, like Expat in non-validating mode
-/// with external entity handling disabled).
-pub fn unescape(s: &str) -> String {
+/// with external entity handling disabled). Entity-free input comes back
+/// borrowed.
+pub fn unescape(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_string();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let bytes = s.as_bytes();
@@ -117,7 +119,7 @@ pub fn unescape(s: &str) -> String {
         out.push(c);
         i += c.len_utf8();
     }
-    out
+    Cow::Owned(out)
 }
 
 #[cfg(test)]

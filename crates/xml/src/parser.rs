@@ -5,23 +5,29 @@
 //! Well-formedness (balanced tags, attribute syntax) is enforced; DTDs and
 //! namespace *resolution* are out of scope (prefixes are preserved in
 //! names, which is all SOAP envelope handling needs).
+//!
+//! Events borrow from the document: names are `&str` slices of the input,
+//! and text and attribute values are `Cow`s that own memory only when an
+//! entity reference had to be resolved. Parsing an entity-free document
+//! allocates nothing but the open-element stack.
 
 use crate::escape::unescape;
+use std::borrow::Cow;
 use std::fmt;
 
-/// A parse event.
+/// A parse event, borrowing from the document being parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// `<name attr="v">` — attributes are unescaped.
+pub enum Event<'a> {
+    /// `<name attr="v">` — attribute values are unescaped.
     Start {
-        name: String,
-        attrs: Vec<(String, String)>,
+        name: &'a str,
+        attrs: Vec<(&'a str, Cow<'a, str>)>,
     },
     /// `</name>`, also synthesized for self-closing `<name/>`.
-    End { name: String },
+    End { name: &'a str },
     /// Character data (entity references resolved). Whitespace-only runs
     /// between elements are skipped.
-    Text(String),
+    Text(Cow<'a, str>),
     /// End of document.
     Eof,
 }
@@ -56,11 +62,11 @@ impl std::error::Error for XmlError {}
 pub struct PullParser<'a> {
     src: &'a str,
     pos: usize,
-    stack: Vec<String>,
+    stack: Vec<&'a str>,
     done: bool,
     /// Name whose synthesized `End` event (from a self-closing tag) is due
     /// before any further input is consumed.
-    pending_end: Option<String>,
+    pending_end: Option<&'a str>,
 }
 
 impl<'a> PullParser<'a> {
@@ -80,146 +86,131 @@ impl<'a> PullParser<'a> {
         self.pos
     }
 
+    /// Bytes of input not yet consumed — an upper bound on what the rest
+    /// of the document can contain, for sizing buffers from the input.
+    pub fn remaining(&self) -> usize {
+        self.src.len() - self.pos
+    }
+
     /// Depth of currently-open elements.
     pub fn depth(&self) -> usize {
         self.stack.len()
     }
 
-    fn bytes(&self) -> &'a [u8] {
-        self.src.as_bytes()
+    fn peek(&self, ahead: usize) -> Option<u8> {
+        self.src.as_bytes().get(self.pos + ahead).copied()
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && self.bytes()[self.pos].is_ascii_whitespace() {
+        while self.peek(0).is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
         }
     }
 
     /// Returns the next event, resolving entities and skipping comments,
     /// processing instructions, the XML declaration and DOCTYPE.
-    pub fn next_event(&mut self) -> Result<Event, XmlError> {
+    pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
         loop {
             if self.done {
                 return Ok(Event::Eof);
             }
-            if self.pos >= self.src.len() {
-                if !self.stack.is_empty() {
+            let Some(b) = self.peek(0) else {
+                if let Some(open) = self.stack.last() {
                     return Err(XmlError::new(
-                        format!(
-                            "unexpected end of input; unclosed <{}>",
-                            self.stack.last().unwrap()
-                        ),
+                        format!("unexpected end of input; unclosed <{open}>"),
                         self.pos,
                     ));
                 }
                 self.done = true;
                 return Ok(Event::Eof);
-            }
-            let b = self.bytes()[self.pos];
-            if b == b'<' {
-                match self.bytes().get(self.pos + 1) {
-                    Some(b'?') => self.skip_until("?>")?,
-                    Some(b'!') => {
-                        if self.src[self.pos..].starts_with("<!--") {
-                            self.skip_until("-->")?
-                        } else if self.src[self.pos..].starts_with("<![CDATA[") {
-                            return self.read_cdata();
-                        } else {
-                            // DOCTYPE and friends.
-                            self.skip_until(">")?
-                        }
-                    }
-                    Some(b'/') => return self.read_end_tag(),
-                    Some(_) => return self.read_start_tag(),
-                    None => return Err(XmlError::new("dangling '<'", self.pos)),
-                }
-            } else {
-                let ev = self.read_text()?;
-                if let Some(ev) = ev {
+            };
+            if b != b'<' {
+                if let Some(ev) = self.read_text()? {
                     return Ok(ev);
                 }
                 // Whitespace-only text: loop for the next markup.
+                continue;
+            }
+            match self.peek(1) {
+                Some(b'?') => self.skip_until("?>")?,
+                Some(b'!') if self.src[self.pos..].starts_with("<!--") => self.skip_until("-->")?,
+                Some(b'!') if self.src[self.pos..].starts_with("<![CDATA[") => {
+                    return self.read_cdata()
+                }
+                // DOCTYPE and friends.
+                Some(b'!') => self.skip_until(">")?,
+                Some(b'/') => return self.read_end_tag(),
+                Some(_) => return self.read_start_tag(),
+                None => return Err(XmlError::new("dangling '<'", self.pos)),
             }
         }
     }
 
     fn skip_until(&mut self, pat: &str) -> Result<(), XmlError> {
-        match self.src[self.pos..].find(pat) {
-            Some(idx) => {
-                self.pos += idx + pat.len();
-                Ok(())
-            }
-            None => Err(XmlError::new(
-                format!("unterminated construct (missing {pat:?})"),
-                self.pos,
-            )),
-        }
+        let Some(idx) = self.src[self.pos..].find(pat) else {
+            let msg = format!("unterminated construct (missing {pat:?})");
+            return Err(XmlError::new(msg, self.pos));
+        };
+        self.pos += idx + pat.len();
+        Ok(())
     }
 
-    fn read_cdata(&mut self) -> Result<Event, XmlError> {
+    fn read_cdata(&mut self) -> Result<Event<'a>, XmlError> {
         let start = self.pos + "<![CDATA[".len();
-        match self.src[start..].find("]]>") {
-            Some(idx) => {
-                let text = self.src[start..start + idx].to_string();
-                self.pos = start + idx + 3;
-                Ok(Event::Text(text))
-            }
-            None => Err(XmlError::new("unterminated CDATA section", self.pos)),
-        }
+        let Some(idx) = self.src[start..].find("]]>") else {
+            return Err(XmlError::new("unterminated CDATA section", self.pos));
+        };
+        self.pos = start + idx + 3;
+        Ok(Event::Text(Cow::Borrowed(&self.src[start..start + idx])))
     }
 
-    fn read_text(&mut self) -> Result<Option<Event>, XmlError> {
+    fn read_text(&mut self) -> Result<Option<Event<'a>>, XmlError> {
         let start = self.pos;
-        while self.pos < self.src.len() && self.bytes()[self.pos] != b'<' {
-            self.pos += 1;
-        }
+        let rest = &self.src.as_bytes()[start..];
+        self.pos += rest.iter().position(|&b| b == b'<').unwrap_or(rest.len());
         let raw = &self.src[start..self.pos];
-        if self.stack.is_empty() || raw.trim().is_empty() {
-            // Inter-element whitespace, or stray text outside the root
-            // (tolerated if whitespace; otherwise an error).
-            if !raw.trim().is_empty() {
-                return Err(XmlError::new("text outside root element", start));
-            }
+        if raw.trim().is_empty() {
+            // Inter-element whitespace.
             return Ok(None);
+        }
+        if self.stack.is_empty() {
+            return Err(XmlError::new("text outside root element", start));
         }
         Ok(Some(Event::Text(unescape(raw))))
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        while self.pos < self.src.len() {
-            let b = self.bytes()[self.pos];
-            if b.is_ascii_whitespace() || b == b'>' || b == b'/' || b == b'=' {
-                break;
-            }
-            self.pos += 1;
-        }
+        let rest = &self.src.as_bytes()[start..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b.is_ascii_whitespace() || matches!(b, b'>' | b'/' | b'='))
+            .unwrap_or(rest.len());
         if self.pos == start {
             return Err(XmlError::new("expected a name", start));
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(&self.src[start..self.pos])
     }
 
-    fn read_start_tag(&mut self) -> Result<Event, XmlError> {
+    fn read_start_tag(&mut self) -> Result<Event<'a>, XmlError> {
         self.pos += 1; // consume '<'
         let name = self.read_name()?;
         let mut attrs = Vec::new();
         loop {
             self.skip_ws();
-            match self.bytes().get(self.pos) {
+            match self.peek(0) {
                 Some(b'>') => {
                     self.pos += 1;
-                    self.stack.push(name.clone());
+                    self.stack.push(name);
                     return Ok(Event::Start { name, attrs });
                 }
                 Some(b'/') => {
-                    if self.bytes().get(self.pos + 1) == Some(&b'>') {
+                    if self.peek(1) == Some(b'>') {
                         self.pos += 2;
-                        // Self-closing: deliver Start now, queue End by
-                        // pushing a sentinel the caller never sees — we
-                        // instead emit End on the next call via stack+flag.
-                        self.stack.push(name.clone());
-                        self.pending_end = Some(name.clone());
+                        // Self-closing: deliver Start now and the matching
+                        // End on the next call to `next`.
+                        self.stack.push(name);
+                        self.pending_end = Some(name);
                         return Ok(Event::Start { name, attrs });
                     }
                     return Err(XmlError::new("stray '/' in tag", self.pos));
@@ -227,7 +218,7 @@ impl<'a> PullParser<'a> {
                 Some(_) => {
                     let aname = self.read_name()?;
                     self.skip_ws();
-                    if self.bytes().get(self.pos) != Some(&b'=') {
+                    if self.peek(0) != Some(b'=') {
                         return Err(XmlError::new(
                             format!("attribute {aname:?} missing '='"),
                             self.pos,
@@ -235,32 +226,27 @@ impl<'a> PullParser<'a> {
                     }
                     self.pos += 1;
                     self.skip_ws();
-                    let quote = match self.bytes().get(self.pos) {
-                        Some(&q @ (b'"' | b'\'')) => q,
+                    let quote = match self.peek(0) {
+                        Some(q @ (b'"' | b'\'')) => q as char,
                         _ => return Err(XmlError::new("attribute value must be quoted", self.pos)),
                     };
-                    self.pos += 1;
-                    let vstart = self.pos;
-                    while self.pos < self.src.len() && self.bytes()[self.pos] != quote {
-                        self.pos += 1;
-                    }
-                    if self.pos >= self.src.len() {
+                    let vstart = self.pos + 1;
+                    let Some(len) = self.src[vstart..].find(quote) else {
                         return Err(XmlError::new("unterminated attribute value", vstart));
-                    }
-                    let raw = &self.src[vstart..self.pos];
-                    self.pos += 1;
-                    attrs.push((aname, unescape(raw)));
+                    };
+                    self.pos = vstart + len + 1;
+                    attrs.push((aname, unescape(&self.src[vstart..vstart + len])));
                 }
                 None => return Err(XmlError::new("unterminated start tag", self.pos)),
             }
         }
     }
 
-    fn read_end_tag(&mut self) -> Result<Event, XmlError> {
+    fn read_end_tag(&mut self) -> Result<Event<'a>, XmlError> {
         self.pos += 2; // consume '</'
         let name = self.read_name()?;
         self.skip_ws();
-        if self.bytes().get(self.pos) != Some(&b'>') {
+        if self.peek(0) != Some(b'>') {
             return Err(XmlError::new("malformed end tag", self.pos));
         }
         self.pos += 1;
@@ -276,9 +262,7 @@ impl<'a> PullParser<'a> {
             )),
         }
     }
-}
 
-impl<'a> PullParser<'a> {
     /// Like [`PullParser::next_event`] but transparently yields the
     /// synthesized `End` of a self-closing tag.
     ///
@@ -286,7 +270,7 @@ impl<'a> PullParser<'a> {
     /// (XPP); this type deliberately is not an `Iterator` because events
     /// are fallible.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Event, XmlError> {
+    pub fn next(&mut self) -> Result<Event<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
             self.stack.pop();
             return Ok(Event::End { name });
@@ -308,12 +292,15 @@ impl<'a> PullParser<'a> {
     }
 
     /// Collects the concatenated text content up to the matching end tag of
-    /// the currently-open element, erroring on nested elements.
-    pub fn text_content(&mut self) -> Result<String, XmlError> {
-        let mut out = String::new();
+    /// the currently-open element, erroring on nested elements. Borrowed
+    /// unless an entity was resolved or the text came in several pieces
+    /// (split by comments or CDATA sections).
+    pub fn text_content(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        let mut out = Cow::Borrowed("");
         loop {
             match self.next()? {
-                Event::Text(t) => out.push_str(&t),
+                Event::Text(t) if out.is_empty() => out = t,
+                Event::Text(t) => out.to_mut().push_str(&t),
                 Event::End { .. } => return Ok(out),
                 Event::Start { name, .. } => {
                     return Err(XmlError::new(
@@ -331,7 +318,7 @@ impl<'a> PullParser<'a> {
 mod tests {
     use super::*;
 
-    fn events(src: &str) -> Vec<Event> {
+    fn events(src: &str) -> Vec<Event<'_>> {
         let mut p = PullParser::new(src);
         let mut out = Vec::new();
         loop {
@@ -352,16 +339,16 @@ mod tests {
             evs,
             vec![
                 Event::Start {
-                    name: "a".into(),
+                    name: "a",
                     attrs: vec![]
                 },
                 Event::Start {
-                    name: "b".into(),
-                    attrs: vec![("x".into(), "1".into())]
+                    name: "b",
+                    attrs: vec![("x", "1".into())]
                 },
                 Event::Text("hi".into()),
-                Event::End { name: "b".into() },
-                Event::End { name: "a".into() },
+                Event::End { name: "b" },
+                Event::End { name: "a" },
                 Event::Eof,
             ]
         );
@@ -371,12 +358,12 @@ mod tests {
     fn self_closing_synthesizes_end() {
         let evs = events("<a><b/><c attr='v'/></a>");
         assert_eq!(evs.len(), 7);
-        assert_eq!(evs[2], Event::End { name: "b".into() });
+        assert_eq!(evs[2], Event::End { name: "b" });
         assert_eq!(
             evs[3],
             Event::Start {
-                name: "c".into(),
-                attrs: vec![("attr".into(), "v".into())]
+                name: "c",
+                attrs: vec![("attr", "v".into())]
             }
         );
     }
@@ -387,7 +374,7 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "a".into(),
+                name: "a",
                 attrs: vec![]
             }
         );
@@ -406,8 +393,8 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "a".into(),
-                attrs: vec![("k".into(), "<&>".into())]
+                name: "a",
+                attrs: vec![("k", "<&>".into())]
             }
         );
         assert_eq!(evs[1], Event::Text("A&B".into()));
@@ -434,7 +421,7 @@ mod tests {
     #[test]
     fn namespaced_names_preserved() {
         let evs = events("<soap:Envelope xmlns:soap=\"http://x\"><soap:Body/></soap:Envelope>");
-        assert!(matches!(&evs[0], Event::Start { name, .. } if name == "soap:Envelope"));
+        assert!(matches!(&evs[0], Event::Start { name, .. } if *name == "soap:Envelope"));
     }
 
     #[test]

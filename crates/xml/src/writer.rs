@@ -258,7 +258,10 @@ mod tests {
         loop {
             match p.next().unwrap() {
                 Event::Eof => break,
-                Event::Start { name, attrs } if name == "root" => {
+                Event::Start {
+                    name: "root",
+                    attrs,
+                } => {
                     assert_eq!(attrs[0].1, "v<1>");
                     n += 1;
                 }

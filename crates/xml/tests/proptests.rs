@@ -1,8 +1,10 @@
 //! Randomized-property tests: writer output always reparses to the same
-//! structure. Seeded generation keeps every case reproducible.
+//! structure, and events borrow from the input unless an entity had to be
+//! resolved. Seeded generation keeps every case reproducible.
 
 use sbq_runtime::SmallRng;
 use sbq_xml::{escape_attr, escape_text, unescape, Event, PullParser, XmlWriter};
+use std::borrow::Cow;
 
 const CASES: u64 = 256;
 
@@ -124,8 +126,91 @@ fn attributes_round_trip() {
         let doc = w.finish();
         let mut p = PullParser::new(&doc);
         match p.next().unwrap() {
-            Event::Start { attrs: parsed, .. } => assert_eq!(parsed, attrs),
+            Event::Start { attrs: parsed, .. } => {
+                assert_eq!(parsed.len(), attrs.len());
+                for ((pk, pv), (k, v)) in parsed.iter().zip(&attrs) {
+                    assert_eq!((*pk, pv.as_ref()), (k.as_str(), v.as_str()));
+                    // The writer escapes only markup characters and quotes,
+                    // so a value free of them carries no entity.
+                    let clean = !v.contains(['&', '<', '>', '"', '\'']);
+                    assert_eq!(matches!(pv, Cow::Borrowed(_)), clean, "{v:?}");
+                }
+            }
             other => panic!("unexpected event {other:?}"),
         }
+    }
+}
+
+/// One piece of an element's text content, as it appears in the document.
+enum Piece {
+    /// Escaped character data; owned after parsing only if it needed an
+    /// entity.
+    Plain(String),
+    /// A CDATA section, always borrowed.
+    Cdata(String),
+}
+
+#[test]
+fn text_split_by_comments_cdata_and_entities_concatenates() {
+    let mut rng = SmallRng::seed_from_u64(0x0a11_0005);
+    for _ in 0..CASES {
+        let mut doc = String::from("<t>");
+        let mut pieces = Vec::new();
+        let mut expected = String::new();
+        for _ in 0..1 + rng.gen_below(5) {
+            // A leading letter keeps plain runs from being whitespace-only,
+            // which the parser drops between elements.
+            let mut text = String::from("x");
+            text.push_str(&arb_string(&mut rng, 12));
+            expected.push_str(&text);
+            if rng.gen_bool(0.3) && !text.contains("]]>") {
+                doc.push_str("<![CDATA[");
+                doc.push_str(&text);
+                doc.push_str("]]>");
+                pieces.push(Piece::Cdata(text));
+            } else {
+                doc.push_str(&escape_text(&text));
+                pieces.push(Piece::Plain(text));
+            }
+            // Separate consecutive pieces so each is its own event.
+            doc.push_str("<!-- split -->");
+        }
+        doc.push_str("</t>");
+
+        // Event by event: the pieces come back in order, borrowed unless an
+        // entity was resolved.
+        let mut p = PullParser::new(&doc);
+        assert!(matches!(p.next().unwrap(), Event::Start { name: "t", .. }));
+        for piece in &pieces {
+            let Event::Text(t) = p.next().unwrap() else {
+                panic!("expected a text event in {doc:?}");
+            };
+            match piece {
+                Piece::Cdata(text) => {
+                    assert_eq!(t, text.as_str());
+                    assert!(matches!(t, Cow::Borrowed(_)), "cdata copied: {doc:?}");
+                }
+                Piece::Plain(text) => {
+                    assert_eq!(t, text.as_str());
+                    let entity_free = !text.contains(['&', '<', '>']);
+                    assert_eq!(matches!(t, Cow::Borrowed(_)), entity_free, "{text:?}");
+                }
+            }
+        }
+        assert!(matches!(p.next().unwrap(), Event::End { name: "t" }));
+
+        // Whole element: the concatenation is the same text, borrowed when
+        // it was one entity-free piece.
+        let mut p = PullParser::new(&doc);
+        p.next().unwrap();
+        let content = p.text_content().unwrap();
+        assert_eq!(content, expected.as_str(), "{doc:?}");
+        let one_clean_piece = match pieces.as_slice() {
+            [Piece::Cdata(_)] => true,
+            [Piece::Plain(text)] => !text.contains(['&', '<', '>']),
+            _ => false,
+        };
+        assert_eq!(matches!(content, Cow::Borrowed(_)), one_clean_piece);
+        assert_eq!(p.next().unwrap(), Event::Eof);
     }
 }

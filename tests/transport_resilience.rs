@@ -16,7 +16,19 @@ use soap_binq::{
     ClientConfig, FaultAction, FaultSchedule, RetryPolicy, ServerConfig, SoapClient,
     SoapServerBuilder, WireEncoding,
 };
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Held by the test that counts process threads and by the test that
+/// spawns dozens of client threads, so the count never sees the spawns of
+/// a test running beside it.
+static THREAD_COUNT: Mutex<()> = Mutex::new(());
+
+fn thread_count_lock() -> MutexGuard<'static, ()> {
+    THREAD_COUNT
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn echo_service() -> ServiceDef {
     ServiceDef::new("Echo", "urn:tr:echo", "x").with_operation(
@@ -51,6 +63,7 @@ fn sixty_four_concurrent_clients_on_a_small_pool() {
     // multiplex without losing, duplicating, or cross-wiring responses —
     // each client checks its own distinct payload, so a PBIO session mixup
     // between clients would be caught as a wrong echo.
+    let _threads = thread_count_lock();
     let svc = echo_service();
     let server = SoapServerBuilder::new(&svc, WireEncoding::Pbio)
         .unwrap()
@@ -941,6 +954,7 @@ fn a_thousand_idle_connections_hold_no_extra_threads() {
     // server whose CPU pool has two threads. Every connection is just a
     // registered fd plus a reactor timer — the process thread count must
     // not move, and the gauges must account for every parked socket.
+    let _threads = thread_count_lock();
     sbq_runtime::raise_nofile_limit(8192);
 
     const CONNS: usize = 1000;
