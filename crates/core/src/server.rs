@@ -303,7 +303,8 @@ impl SoapServer {
         self.state.faults.load(Ordering::Relaxed)
     }
 
-    /// Responses that were quality-reduced (message type ≠ full).
+    /// Responses that were quality-reduced: a quality handler or
+    /// projection ran and changed the value.
     pub fn reduced_responses(&self) -> u64 {
         self.state.reduced_responses.load(Ordering::Relaxed)
     }
@@ -513,10 +514,11 @@ impl ServerState {
         };
 
         let t0 = Instant::now();
-        let original = handler(params);
-        // Quality-manage the response value. Servers without quality
-        // management send the handler's value as is.
-        let prepared = match (&self.fleet, &self.quality) {
+        let value = handler(params);
+        // Quality-manage the response value. It moves through the
+        // manager, so the pass-through band sends the handler's own
+        // allocation; servers without quality management send it as is.
+        let (result, message_type, reduced) = match (&self.fleet, &self.quality) {
             (Some(f), Some(q)) => {
                 // Per-client band; under overload every admitted call is
                 // answered one band below the caller's own.
@@ -528,24 +530,23 @@ impl ServerState {
                     f.fleet.note_degraded();
                 }
                 let rule = f.fleet.rule(band).clone();
-                Some(q.lock().apply_rule(&rule, Some(band), &original))
+                let p = q.lock().apply_rule(&rule, Some(band), value);
+                (p.value, Some(p.message_type), p.reduced)
             }
-            (None, Some(q)) => Some(q.lock().prepare(&original)),
-            _ => None,
+            (None, Some(q)) => {
+                let p = q.lock().prepare(value);
+                (p.value, Some(p.message_type), p.reduced)
+            }
+            _ => (value, None, false),
         };
         let server_time = t0.elapsed();
-
-        let (result, message_type) = match prepared {
-            Some(p) => {
-                if p.value != original {
-                    self.reduced_responses.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.reduced.inc();
-                }
-                self.metrics.message_type(&p.message_type);
-                (p.value, Some(p.message_type))
-            }
-            None => (original, None),
-        };
+        if reduced {
+            self.reduced_responses.fetch_add(1, Ordering::Relaxed);
+            self.metrics.reduced.inc();
+        }
+        if let Some(mt) = &message_type {
+            self.metrics.message_type(mt);
+        }
 
         let resp_header = QosHeader {
             timestamp_us: qos.timestamp_us, // echo for client-side RTT

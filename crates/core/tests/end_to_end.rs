@@ -4,7 +4,7 @@
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_qos::{QualityAttributes, QualityFile, QualityManager};
 use sbq_wsdl::ServiceDef;
-use soap_binq::{SoapClient, SoapServerBuilder, WireEncoding};
+use soap_binq::{Registry, ServerConfig, SoapClient, SoapServerBuilder, WireEncoding};
 use std::time::Duration;
 
 fn echo_service() -> ServiceDef {
@@ -233,6 +233,48 @@ fn good_network_keeps_full_quality() {
         assert_eq!(v, reading_value());
     }
     assert_eq!(server.reduced_responses(), 0);
+}
+
+#[test]
+fn reduced_counter_counts_exactly_the_reduced_responses() {
+    // The server decides `reduced` from what the quality layer did, not
+    // by comparing the response with the handler's value: the full band
+    // counts nothing, and every reduced response counts once.
+    let svc = ServiceDef::new("Sensor", "urn:sbq:sensor", "x").with_operation(
+        "read",
+        TypeDesc::Int,
+        reading_ty(),
+    );
+    let reg = Registry::new();
+    let qm = quality_manager();
+    let attributes = qm.attributes().clone();
+    let server = SoapServerBuilder::new(&svc, WireEncoding::Pbio)
+        .unwrap()
+        .handle("read", |_| reading_value())
+        .with_quality(qm)
+        .transport(ServerConfig::default().telemetry(reg.clone()))
+        .bind("127.0.0.1:0".parse().unwrap())
+        .unwrap();
+    // A client without a quality manager reports no RTT, so the band is
+    // whatever the server-side attribute says.
+    let mut client = SoapClient::connect(server.addr(), &svc, WireEncoding::Pbio).unwrap();
+
+    attributes.update_attribute("rtt", 5.0);
+    for _ in 0..4 {
+        assert_eq!(client.call("read", Value::Int(0)).unwrap(), reading_value());
+    }
+    assert_eq!(server.reduced_responses(), 0, "band 0 reduces nothing");
+    assert_eq!(reg.counter("server.reduced").get(), 0);
+    assert_eq!(reg.counter("server.msgtype.reading_full").get(), 4);
+
+    attributes.update_attribute("rtt", 500.0);
+    for n in 1..=3 {
+        let v = client.call("read", Value::Int(0)).unwrap();
+        assert_eq!(v.as_struct().unwrap().field("seq"), Some(&Value::Int(7)));
+        assert_eq!(server.reduced_responses(), n, "one count per response");
+    }
+    assert_eq!(reg.counter("server.reduced").get(), 3);
+    assert_eq!(reg.counter("server.msgtype.reading_small").get(), 3);
 }
 
 #[test]

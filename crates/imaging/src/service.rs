@@ -35,31 +35,40 @@ pub fn request_type() -> TypeDesc {
     )
 }
 
-/// Converts an image into its message value.
-pub fn image_to_value(img: &PpmImage) -> Value {
+/// Converts an image into its message value, moving the pixels.
+pub fn image_into_value(img: PpmImage) -> Value {
     Value::struct_of(
         "image",
         vec![
             ("width", Value::Int(img.width as i64)),
             ("height", Value::Int(img.height as i64)),
-            ("pixels", Value::Bytes(img.data.clone())),
+            ("pixels", Value::Bytes(img.data)),
         ],
     )
 }
 
+/// Converts an image into its message value, copying the pixels.
+pub fn image_to_value(img: &PpmImage) -> Value {
+    image_into_value(img.clone())
+}
+
+/// Borrows `(width, height, pixels)` from an image value, if well-formed.
+fn image_parts(value: &Value) -> Option<(usize, usize, &[u8])> {
+    let s = value.as_struct().ok()?;
+    let width = usize::try_from(s.field("width")?.as_int().ok()?).ok()?;
+    let height = usize::try_from(s.field("height")?.as_int().ok()?).ok()?;
+    let data = s.field("pixels")?.as_bytes().ok()?;
+    let expected = width.checked_mul(height)?.checked_mul(3)?;
+    (data.len() == expected).then_some((width, height, data))
+}
+
 /// Reconstructs an image from its message value, if well-formed.
 pub fn value_to_image(value: &Value) -> Option<PpmImage> {
-    let s = value.as_struct().ok()?;
-    let width = s.field("width")?.as_int().ok()? as usize;
-    let height = s.field("height")?.as_int().ok()? as usize;
-    let data = s.field("pixels")?.as_bytes().ok()?.to_vec();
-    if data.len() != 3 * width * height {
-        return None;
-    }
+    let (width, height, data) = image_parts(value)?;
     Some(PpmImage {
         width,
         height,
-        data,
+        data: data.to_vec(),
     })
 }
 
@@ -84,25 +93,25 @@ pub fn image_quality_file(threshold_ms: f64) -> QualityFile {
 }
 
 /// Installs the resizing quality handlers ("applying resizing handlers to
-/// images", §III-B.b).
+/// images", §III-B.b). They read the pixels in place and allocate only
+/// the reduced image; a value that is not an image passes through.
 pub fn install_resize_handlers(registry: &HandlerRegistry) {
-    registry.install(
-        "resize_half",
-        |v: &Value, _attrs: &QualityAttributes| match value_to_image(v) {
-            Some(img) => image_to_value(&transform::half(&img)),
-            None => v.clone(),
-        },
-    );
-    registry.install(
-        "resize_quarter",
-        |v: &Value, _attrs: &QualityAttributes| match value_to_image(v) {
-            Some(img) => {
-                let q = transform::resize(&img, (img.width / 4).max(1), (img.height / 4).max(1));
-                image_to_value(&q)
-            }
-            None => v.clone(),
-        },
-    );
+    registry.install("resize_half", downscale_by(2));
+    registry.install("resize_quarter", downscale_by(4));
+}
+
+/// A handler shrinking both image dimensions by `factor` (at least 1 px).
+fn downscale_by(factor: usize) -> impl Fn(&Value, &QualityAttributes) -> Value {
+    move |v, _attrs| match image_parts(v) {
+        Some((w, h, pixels)) => image_into_value(transform::resize_rgb(
+            pixels,
+            w,
+            h,
+            (w / factor).max(1),
+            (h / factor).max(1),
+        )),
+        None => v.clone(),
+    }
 }
 
 /// A named collection of images (the paper's "collection of servers, each
@@ -154,7 +163,7 @@ impl ImageStore {
     /// 1x1 placeholder for unknown names/operations, mirroring lenient
     /// server behavior).
     pub fn handle_get_image(&self, request: Value) -> Value {
-        let fallback = || image_to_value(&PpmImage::new(1, 1));
+        let fallback = || image_into_value(PpmImage::new(1, 1));
         let Ok(s) = request.as_struct() else {
             return fallback();
         };
@@ -165,7 +174,7 @@ impl ImageStore {
             return fallback();
         };
         match self.get(name).and_then(|img| transform::apply(img, op)) {
-            Some(result) => image_to_value(&result),
+            Some(result) => image_into_value(result),
             None => fallback(),
         }
     }

@@ -2,6 +2,7 @@
 
 use crate::ty::{StructDesc, TypeDesc};
 use crate::ModelError;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dynamically-typed parameter value.
@@ -267,6 +268,21 @@ impl fmt::Display for Value {
                 write!(f, "}}")
             }
         }
+    }
+}
+
+/// An owned value converts to `Cow::Owned`, so APIs taking
+/// `impl Into<Cow<Value>>` can move it instead of copying it.
+impl From<Value> for Cow<'_, Value> {
+    fn from(v: Value) -> Self {
+        Cow::Owned(v)
+    }
+}
+
+/// A borrowed value converts to `Cow::Borrowed`.
+impl<'a> From<&'a Value> for Cow<'a, Value> {
+    fn from(v: &'a Value) -> Self {
+        Cow::Borrowed(v)
     }
 }
 

@@ -11,6 +11,7 @@ use crate::handler::HandlerRegistry;
 use crate::jacobson::JacobsonEstimator;
 use sbq_model::{pad_to, project, TypeDesc, Value};
 use sbq_telemetry::{trace, Counter, Histogram, Registry, TraceSpan, Tracer};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -64,6 +65,10 @@ pub struct PreparedMessage {
     pub value: Value,
     /// The selected message type name (from the quality file).
     pub message_type: String,
+    /// Whether a handler or projection ran and changed the value. The
+    /// pass-through path is never reduced and is decided without
+    /// comparing the value with itself.
+    pub reduced: bool,
 }
 
 /// Per-connection continuous quality management state.
@@ -255,7 +260,10 @@ impl QualityManager {
     /// Quality-manages an outgoing message: selects the band, then either
     /// applies the band's named quality handler, projects onto the band's
     /// reduced message type, or passes the value through unchanged.
-    pub fn prepare(&mut self, full: &Value) -> PreparedMessage {
+    ///
+    /// Pass an owned value to have the pass-through path move it; a
+    /// borrowed value is copied only on that path.
+    pub fn prepare<'v>(&mut self, full: impl Into<Cow<'v, Value>>) -> PreparedMessage {
         let rule = self.select().clone();
         let band = self.selector.band();
         self.apply_rule(&rule, band, full)
@@ -266,12 +274,13 @@ impl QualityManager {
     /// response against a *per-client* band while sharing one manager's
     /// handlers and message-type definitions. `band` only annotates the
     /// trace span.
-    pub fn apply_rule(
+    pub fn apply_rule<'v>(
         &self,
         rule: &QualityRule,
         band: Option<usize>,
-        full: &Value,
+        full: impl Into<Cow<'v, Value>>,
     ) -> PreparedMessage {
+        let full = full.into();
         // Annotate the enclosing request trace (if any) with what quality
         // management decided: the active band, the selected message type,
         // and which reduction path ran.
@@ -283,21 +292,33 @@ impl QualityManager {
             tspan.add_tag_u64("band", band as u64);
         }
         tspan.add_tag("mt", &rule.message_type);
-        let value = if let Some(hname) = &rule.handler {
+        // Reductions borrow the full value; only their output is compared
+        // with it. A missing handler or a failed projection falls back to
+        // the pass-through path (the "trivial quality handler", §III-A).
+        let output = if let Some(hname) = &rule.handler {
             tspan.add_tag("reduce", hname);
             self.handlers
-                .apply_or_identity(hname, full, &self.attributes)
+                .get(hname)
+                .map(|h| h.apply(&full, &self.attributes))
         } else if let Some(ty) = self.message_types.get(&rule.message_type) {
             // "It then copies the relevant fields … and ignores the rest."
             tspan.add_tag("reduce", "project");
-            project(full, ty).unwrap_or_else(|_| full.clone())
+            project(&full, ty).ok()
         } else {
             tspan.add_tag("reduce", "none");
-            full.clone()
+            None
+        };
+        let (value, reduced) = match output {
+            Some(value) => {
+                let changed = value != *full;
+                (value, changed)
+            }
+            None => (full.into_owned(), false),
         };
         PreparedMessage {
             value,
             message_type: rule.message_type.clone(),
+            reduced,
         }
     }
 
@@ -376,7 +397,7 @@ attribute rtt
         for _ in 0..5 {
             m.observe_rtt(Duration::from_millis(400), Duration::ZERO);
         }
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_small");
         let estimate = m.estimator().estimate_ms();
         let count = reg.histogram("qos.rtt_us").snapshot().count;
         // Coarse server clock claims 1 s of prep on a 2 ms call.
@@ -393,7 +414,7 @@ attribute rtt
             "no skewed sample reaches the histogram"
         );
         // Band selection still sees congestion, not a phantom upgrade.
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_small");
     }
 
     #[test]
@@ -405,11 +426,11 @@ attribute rtt
         m.observe_rtt(Duration::from_millis(5), Duration::ZERO); // healthy
         let file = QualityFile::parse(FILE).unwrap();
         let small = file.rules[1].clone();
-        let p = m.apply_rule(&small, Some(1), &full_value());
+        let p = m.apply_rule(&small, Some(1), full_value());
         assert_eq!(p.message_type, "reading_small");
         assert!(p.value.native_size() < full_value().native_size());
         // The manager's own view is unchanged.
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_full");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_full");
     }
 
     #[test]
@@ -450,14 +471,14 @@ attribute rtt
         let mut m = manager().telemetry(&reg);
         m.observe_rtt(Duration::from_millis(500), Duration::ZERO);
         // Outside any request trace, prepare must not record anything.
-        m.prepare(&full_value());
+        m.prepare(full_value());
         assert_eq!(tracer.recorded_total(), 0);
         // Under an installed context it becomes a child span.
         let root = tracer.root_span("test.root");
         let root_span = root.context().span_id;
         {
             let _guard = trace::set_current(root.context());
-            m.prepare(&full_value());
+            m.prepare(full_value());
         }
         drop(root);
         let spans = tracer.snapshot();
@@ -488,22 +509,22 @@ attribute rtt
             ewma.observe_rtt(rtt, Duration::ZERO);
             jac.observe_rtt(rtt, Duration::ZERO);
         }
-        assert_eq!(ewma.prepare(&full_value()).message_type, "reading_full");
-        assert_eq!(jac.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(ewma.prepare(full_value()).message_type, "reading_full");
+        assert_eq!(jac.prepare(full_value()).message_type, "reading_small");
     }
 
     #[test]
     fn policy_replacement_at_runtime() {
         let mut m = manager();
         m.observe_rtt(Duration::from_millis(30), Duration::ZERO);
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_full");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_full");
         // Tighten the policy: anything above 10 ms is now "small".
         let strict =
             QualityFile::parse("attribute rtt\n0 10 - reading_full\n10 inf - reading_small\n")
                 .unwrap();
         m.replace_policy(strict, Default::default());
         // Estimator state survived (≈30 ms) and now lands in the small band.
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_small");
         // Message-type definitions survived too.
         assert!(m.message_type_def("reading_small").is_some());
     }
@@ -512,7 +533,7 @@ attribute rtt
     fn good_network_sends_full_message() {
         let mut m = manager();
         m.observe_rtt(Duration::from_millis(10), Duration::ZERO);
-        let p = m.prepare(&full_value());
+        let p = m.prepare(full_value());
         assert_eq!(p.message_type, "reading_full");
         assert_eq!(p.value, full_value());
     }
@@ -521,7 +542,7 @@ attribute rtt
     fn congestion_projects_to_small_type_and_restores() {
         let mut m = manager();
         m.observe_rtt(Duration::from_millis(500), Duration::ZERO);
-        let p = m.prepare(&full_value());
+        let p = m.prepare(full_value());
         assert_eq!(p.message_type, "reading_small");
         assert!(p.value.native_size() < full_value().native_size());
         let restored = m.restore(&p.value, &full_ty());
@@ -549,7 +570,7 @@ attribute rtt
                 v
             });
         m.observe_rtt(Duration::from_millis(400), Duration::ZERO);
-        let p = m.prepare(&full_value());
+        let p = m.prepare(full_value());
         assert_eq!(p.message_type, "reduced");
         let s = p.value.as_struct().unwrap();
         assert_eq!(s.field("temps"), Some(&Value::FloatArray(vec![])));
@@ -562,9 +583,9 @@ attribute rtt
         // sensitivity by writing the attribute directly.
         let mut m = manager();
         m.attributes().update_attribute("rtt", 10.0);
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_full");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_full");
         m.attributes().update_attribute("rtt", 900.0);
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_small");
     }
 
     #[test]
@@ -576,21 +597,21 @@ attribute rtt
             with.observe_rtt(Duration::from_millis(450), Duration::from_millis(420));
             without.observe_rtt(Duration::from_millis(450), Duration::ZERO);
         }
-        assert_eq!(with.prepare(&full_value()).message_type, "reading_full");
-        assert_eq!(without.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(with.prepare(full_value()).message_type, "reading_full");
+        assert_eq!(without.prepare(full_value()).message_type, "reading_small");
     }
 
     #[test]
     fn recovery_needs_history() {
         let mut m = manager();
         m.observe_rtt(Duration::from_millis(500), Duration::ZERO);
-        assert_eq!(m.prepare(&full_value()).message_type, "reading_small");
+        assert_eq!(m.prepare(full_value()).message_type, "reading_small");
         // Estimator smooths recovery, selector needs 3 confirmations, so
         // several good samples pass before the full type returns.
         let mut steps = 0;
         loop {
             m.observe_rtt(Duration::from_millis(5), Duration::ZERO);
-            let p = m.prepare(&full_value());
+            let p = m.prepare(full_value());
             steps += 1;
             if p.message_type == "reading_full" {
                 break;

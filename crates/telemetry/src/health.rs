@@ -185,18 +185,20 @@ pub struct ProcSampler {
 
 impl ProcSampler {
     /// Spawns a sampler publishing into `registry` every `interval`.
-    /// Returns `None` (and spawns nothing) for a disabled registry.
+    /// The first sample is taken before this returns, so the gauges are
+    /// never unset while a sampler exists. Returns `None` (and spawns
+    /// nothing) for a disabled registry.
     pub fn spawn(registry: &Registry, interval: Duration) -> Option<ProcSampler> {
         if !registry.is_enabled() {
             return None;
         }
+        sample_proc(registry);
         let stop = Arc::new(AtomicBool::new(false));
         let reg = registry.clone();
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("sbq-health".into())
             .spawn(move || {
-                sample_proc(&reg);
                 while !stop2.load(Ordering::Acquire) {
                     std::thread::park_timeout(interval);
                     if stop2.load(Ordering::Acquire) {
