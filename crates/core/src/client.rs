@@ -578,7 +578,6 @@ impl SoapClient {
 
         let attempt_ctx = attempt.context();
         let tracer = self.metrics.tracer.clone();
-        let t0 = Instant::now();
         let mut req = {
             let _span = Span::on(&self.metrics.encode);
             let _tspan = tracer.child_span(&self.metrics.encode_name, &attempt_ctx);
@@ -604,6 +603,9 @@ impl SoapClient {
                 .push(("X-Idempotent".to_string(), "1".to_string()));
         }
         self.stats.bytes_sent += req.body.len() as u64;
+        // The RTT sample spans the exchange only: client encode and
+        // decode are CPU time and must not read as network delay.
+        let t0 = Instant::now();
         let mut resp = self.http.send(req)?;
         let rtt = t0.elapsed();
         self.stats.bytes_received += resp.body.len() as u64;

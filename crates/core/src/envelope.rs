@@ -322,6 +322,36 @@ mod tests {
     }
 
     #[test]
+    fn whitespace_only_text_round_trips() {
+        // Inside a leaf, whitespace is content: fields and the header's
+        // message type keep it, even when it is all they hold.
+        let ty = TypeDesc::struct_of(
+            "w",
+            vec![
+                ("a", TypeDesc::Str),
+                ("b", TypeDesc::Str),
+                ("c", TypeDesc::Str),
+            ],
+        );
+        let v = Value::Struct(sbq_model::StructValue::new(
+            "w",
+            vec![
+                ("a".into(), Value::Str("  ".into())),
+                ("b".into(), Value::Str("\n".into())),
+                ("c".into(), Value::Str(" x ".into())),
+            ],
+        ));
+        let h = QosHeader {
+            message_type: Some(" ".into()),
+            ..Default::default()
+        };
+        let xml = build_request("op", &v, &h);
+        let parsed = parse_envelope(&xml, resolver(ty)).unwrap();
+        assert_eq!(parsed.value, v);
+        assert_eq!(parsed.header, h);
+    }
+
+    #[test]
     fn envelope_bytes_are_pinned() {
         // The wire form peers parse, byte for byte: every header field set,
         // one that needs escaping, and a struct body.

@@ -5,7 +5,7 @@ use sbq_model::{workload, TypeDesc, Value};
 use sbq_qos::{QualityAttributes, QualityFile, QualityManager};
 use sbq_wsdl::ServiceDef;
 use soap_binq::{Registry, ServerConfig, SoapClient, SoapServerBuilder, WireEncoding};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn echo_service() -> ServiceDef {
     ServiceDef::new("Echo", "urn:sbq:echo", "http://127.0.0.1:0/echo")
@@ -75,6 +75,39 @@ fn echo_round_trips_across_all_encodings() {
             Value::Str("hello, world & <tags>".into())
         );
         assert_eq!(client.stats().calls, 4);
+    }
+}
+
+#[test]
+fn rtt_sample_excludes_client_marshalling() {
+    // The quality estimator's RTT must be network plus server time only.
+    // The call's wall time contains client encode, the exchange and client
+    // decode, so the three can add up to no more than the wall time; an
+    // RTT clock started before encode overshoots by the encode time.
+    let reg = Registry::new();
+    let (server, svc) = start_echo(WireEncoding::Xml);
+    let config = soap_binq::ClientConfig::default().telemetry(reg.clone());
+    let mut client =
+        SoapClient::connect_with(server.addr(), &svc, WireEncoding::Xml, config).unwrap();
+    let arr = workload::int_array(200_000, 7);
+    let encode = reg.histogram("marshal.xml.encode");
+    let decode = reg.histogram("marshal.xml.decode");
+    for _ in 0..3 {
+        let (enc0, dec0) = (encode.snapshot().sum, decode.snapshot().sum);
+        let t0 = Instant::now();
+        assert_eq!(client.call("echo_array", arr.clone()).unwrap(), arr);
+        let wall = t0.elapsed();
+        let marshalling =
+            Duration::from_nanos(encode.snapshot().sum - enc0 + decode.snapshot().sum - dec0);
+        let rtt = client.stats().last_rtt.unwrap();
+        assert!(
+            marshalling > Duration::ZERO,
+            "marshal histograms not recorded"
+        );
+        assert!(
+            rtt + marshalling <= wall,
+            "rtt {rtt:?} + client marshalling {marshalling:?} exceeds the call's wall time {wall:?}"
+        );
     }
 }
 

@@ -269,14 +269,24 @@ impl FlightRecorder {
     }
 
     /// Decodes every complete slot, oldest first. A slot that a writer
-    /// races (mid-write, or overwritten while being copied) is retried a
-    /// bounded number of times and then *skipped* — never emitted torn —
-    /// with the give-up counted in `torn` (`trace.export_torn`).
+    /// races (mid-write, or overwritten while being copied) is retried,
+    /// yielding the CPU between rounds so a preempted writer can finish,
+    /// and after a bounded number of rounds *skipped* — never emitted
+    /// torn — with the give-up counted in `torn` (`trace.export_torn`).
     fn snapshot(&self, torn: &Counter) -> Vec<SpanEvent> {
+        /// Back-to-back reads per round: enough when the racing writer is
+        /// running on another core.
         const EXPORT_RETRIES: usize = 4;
+        /// Rounds separated by `yield_now`: when writers outnumber cores
+        /// the one holding the slot may be descheduled mid-write, and
+        /// spinning would only wait out its time slice.
+        const EXPORT_ROUNDS: usize = 16;
         let mut out: Vec<(u64, SpanEvent)> = Vec::with_capacity(self.slots.len());
         'slots: for slot in self.slots.iter() {
-            for _ in 0..EXPORT_RETRIES {
+            for attempt in 0..EXPORT_RETRIES * EXPORT_ROUNDS {
+                if attempt > 0 && attempt % EXPORT_RETRIES == 0 {
+                    std::thread::yield_now();
+                }
                 let s1 = slot.seq.load(Ordering::Acquire);
                 if s1 == 0 {
                     continue 'slots; // never written
@@ -1069,6 +1079,11 @@ mod tests {
                 })
             })
             .collect();
+        // Read only once the storm is on: a spawned thread can take longer
+        // to get a CPU than 400 snapshots of an empty ring take.
+        while t.inner.as_ref().unwrap().recorder.recorded() < 4 * 16 {
+            std::thread::yield_now();
+        }
         let mut exported = 0usize;
         for _ in 0..400 {
             for e in t.snapshot() {

@@ -10,8 +10,14 @@
 //! and text and attribute values are `Cow`s that own memory only when an
 //! entity reference had to be resolved. Parsing an entity-free document
 //! allocates nothing but the open-element stack.
+//!
+//! Leaf elements — `<name>text</name>` with no attributes, entities or
+//! markup inside — also have a one-step path ([`PullParser::leaf`], and
+//! the first check in [`PullParser::text_content`]) that skips the
+//! Start/Text/End events; any other shape falls back to the event path.
 
 use crate::escape::unescape;
+use sbq_runtime::simd;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -26,7 +32,8 @@ pub enum Event<'a> {
     /// `</name>`, also synthesized for self-closing `<name/>`.
     End { name: &'a str },
     /// Character data (entity references resolved). Whitespace-only runs
-    /// between elements are skipped.
+    /// between elements are skipped ([`PullParser::text_content`] keeps
+    /// them: inside a leaf they are content).
     Text(Cow<'a, str>),
     /// End of document.
     Eof,
@@ -110,6 +117,12 @@ impl<'a> PullParser<'a> {
     /// Returns the next event, resolving entities and skipping comments,
     /// processing instructions, the XML declaration and DOCTYPE.
     pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
+        self.scan(false)
+    }
+
+    /// [`PullParser::next_event`], optionally reporting whitespace-only
+    /// text instead of skipping it.
+    fn scan(&mut self, keep_ws: bool) -> Result<Event<'a>, XmlError> {
         loop {
             if self.done {
                 return Ok(Event::Eof);
@@ -125,7 +138,7 @@ impl<'a> PullParser<'a> {
                 return Ok(Event::Eof);
             };
             if b != b'<' {
-                if let Some(ev) = self.read_text()? {
+                if let Some(ev) = self.read_text(keep_ws)? {
                     return Ok(ev);
                 }
                 // Whitespace-only text: loop for the next markup.
@@ -164,12 +177,12 @@ impl<'a> PullParser<'a> {
         Ok(Event::Text(Cow::Borrowed(&self.src[start..start + idx])))
     }
 
-    fn read_text(&mut self) -> Result<Option<Event<'a>>, XmlError> {
+    fn read_text(&mut self, keep_ws: bool) -> Result<Option<Event<'a>>, XmlError> {
         let start = self.pos;
         let rest = &self.src.as_bytes()[start..];
         self.pos += rest.iter().position(|&b| b == b'<').unwrap_or(rest.len());
         let raw = &self.src[start..self.pos];
-        if raw.trim().is_empty() {
+        if !keep_ws && raw.trim().is_empty() {
             // Inter-element whitespace.
             return Ok(None);
         }
@@ -181,11 +194,7 @@ impl<'a> PullParser<'a> {
 
     fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        let rest = &self.src.as_bytes()[start..];
-        self.pos += rest
-            .iter()
-            .position(|&b| b.is_ascii_whitespace() || matches!(b, b'>' | b'/' | b'='))
-            .unwrap_or(rest.len());
+        self.pos += name_len(&self.src.as_bytes()[start..]);
         if self.pos == start {
             return Err(XmlError::new("expected a name", start));
         }
@@ -271,11 +280,62 @@ impl<'a> PullParser<'a> {
     /// are fallible.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Event<'a>, XmlError> {
+        self.pull(false)
+    }
+
+    fn pull(&mut self, keep_ws: bool) -> Result<Event<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
             self.stack.pop();
             return Ok(Event::End { name });
         }
-        self.next_event()
+        self.scan(keep_ws)
+    }
+
+    /// Consumes a whole leaf element at the cursor in one step and returns
+    /// its text: an attribute-free `<name>` start tag, text without markup
+    /// or entities (whitespace included), and the matching `</name>`. The
+    /// open-element stack is untouched, as after its Start/Text/End
+    /// events. Any other shape returns `None` with the cursor unmoved, and
+    /// the caller falls back to [`PullParser::next`]: attributes, entity
+    /// references, `>` in the text, comments, CDATA, `<name/>`, whitespace
+    /// inside either tag, a different or missing end tag, and truncated
+    /// input. A declined call stops at the first byte it cannot take, and
+    /// the event path then consumes at least the bytes it scanned, so
+    /// decoding stays linear.
+    pub fn leaf(&mut self) -> Option<&'a str> {
+        if self.pending_end.is_some() {
+            return None;
+        }
+        let rest = &self.src.as_bytes()[self.pos..];
+        if rest.first() != Some(&b'<') || matches!(rest.get(1), Some(b'?' | b'!' | b'/')) {
+            return None;
+        }
+        let len = name_len(&rest[1..]);
+        if len == 0 || rest.get(1 + len) != Some(&b'>') {
+            return None;
+        }
+        let name = &self.src[self.pos + 1..self.pos + 1 + len];
+        let (text, end) = self.clean_tail(self.pos + len + 2, name)?;
+        self.pos = end;
+        Some(text)
+    }
+
+    /// The tail of a leaf whose start tag ends just before `from`: clean
+    /// text (no `&`, `<` or `>`), then exactly `</open>`. Returns the text
+    /// and the offset just past the end tag.
+    fn clean_tail(&self, from: usize, open: &str) -> Option<(&'a str, usize)> {
+        let rest = &self.src.as_bytes()[from..];
+        // The scan stops only on ASCII specials, so `from + clean` is a
+        // char boundary.
+        let clean = simd::escape_scan(rest, false);
+        let after = rest[clean..]
+            .strip_prefix(b"</")?
+            .strip_prefix(open.as_bytes())?;
+        if after.first() != Some(&b'>') {
+            return None;
+        }
+        let text = &self.src[from..from + clean];
+        Some((text, from + clean + open.len() + 3))
     }
 
     /// Skips events until the matching `End` of the element that was just
@@ -292,13 +352,24 @@ impl<'a> PullParser<'a> {
     }
 
     /// Collects the concatenated text content up to the matching end tag of
-    /// the currently-open element, erroring on nested elements. Borrowed
+    /// the currently-open element, erroring on nested elements. Whitespace
+    /// is content here, even when it is all the element holds. Borrowed
     /// unless an entity was resolved or the text came in several pieces
     /// (split by comments or CDATA sections).
+    ///
+    /// Clean text followed directly by the end tag is taken in one step
+    /// without events; anything else goes through the event loop.
     pub fn text_content(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        if let (None, Some(&open)) = (self.pending_end, self.stack.last()) {
+            if let Some((text, end)) = self.clean_tail(self.pos, open) {
+                self.pos = end;
+                self.stack.pop();
+                return Ok(Cow::Borrowed(text));
+            }
+        }
         let mut out = Cow::Borrowed("");
         loop {
-            match self.next()? {
+            match self.pull(true)? {
                 Event::Text(t) if out.is_empty() => out = t,
                 Event::Text(t) => out.to_mut().push_str(&t),
                 Event::End { .. } => return Ok(out),
@@ -312,6 +383,15 @@ impl<'a> PullParser<'a> {
             }
         }
     }
+}
+
+/// Length of the tag or attribute name at the start of `bytes`: up to
+/// whitespace, `>`, `/` or `=`.
+fn name_len(bytes: &[u8]) -> usize {
+    bytes
+        .iter()
+        .position(|&b| b.is_ascii_whitespace() || matches!(b, b'>' | b'/' | b'='))
+        .unwrap_or(bytes.len())
 }
 
 #[cfg(test)]
@@ -440,6 +520,78 @@ mod tests {
         p.next().unwrap();
         assert_eq!(p.text_content().unwrap(), "one & two");
         assert_eq!(p.next().unwrap(), Event::Eof);
+    }
+
+    #[test]
+    fn text_content_keeps_whitespace() {
+        for (doc, text) in [
+            ("<a>  </a>", "  "),
+            ("<a>\n</a>", "\n"),
+            ("<a> <!-- c --> </a>", "  "),
+            ("<a>\t<![CDATA[x]]> </a>", "\tx "),
+            ("<a/>", ""),
+        ] {
+            let mut p = PullParser::new(doc);
+            p.next().unwrap();
+            assert_eq!(p.text_content().unwrap(), text, "{doc:?}");
+            assert_eq!(p.next().unwrap(), Event::Eof);
+        }
+        // Events still skip whitespace-only runs.
+        assert_eq!(events("<a> </a>").len(), 3);
+    }
+
+    #[test]
+    fn leaf_consumes_plain_leaves_in_one_step() {
+        let mut p = PullParser::new("<r><a>1</a><b> x </b><c></c><d k='v'>2</d></r>");
+        p.next().unwrap();
+        assert_eq!(p.leaf(), Some("1"));
+        assert_eq!(p.leaf(), Some(" x "));
+        assert_eq!(p.leaf(), Some(""));
+        assert_eq!(p.depth(), 1);
+        assert_eq!(p.leaf(), None, "attributes fall back");
+        assert!(matches!(p.next().unwrap(), Event::Start { name: "d", .. }));
+        assert_eq!(p.text_content().unwrap(), "2");
+        assert_eq!(p.next().unwrap(), Event::End { name: "r" });
+        assert_eq!(p.next().unwrap(), Event::Eof);
+    }
+
+    #[test]
+    fn leaf_declines_other_shapes_without_moving() {
+        for doc in [
+            "<a k=\"v\">1</a>",
+            "<a>&#49;</a>",
+            "<a>1>2</a>",
+            "<a><!-- c -->1</a>",
+            "<a><![CDATA[1]]></a>",
+            "<a/>",
+            "<a >1</a>",
+            "<a>1</a >",
+            "<a>1</b>",
+            "<a>1</ab>",
+            "<a>1<b/></a>",
+            "<a>1</a",
+            "<a>1",
+            "<a",
+            "<!a>1</!a>",
+            "<?a>1</?a>",
+            "</a>",
+            "a",
+            "",
+        ] {
+            let mut p = PullParser::new(doc);
+            assert_eq!(p.leaf(), None, "{doc:?}");
+            assert_eq!(p.offset(), 0, "{doc:?}");
+        }
+        // Not while a self-closing tag's End is still due.
+        let mut p = PullParser::new("<r/><a>1</a>");
+        p.next().unwrap();
+        assert_eq!(p.leaf(), None);
+        let mut p = PullParser::new("<r><a/>1</a></r>");
+        p.next().unwrap();
+        p.next().unwrap();
+        assert_eq!(p.text_content().unwrap(), "");
+        assert_eq!(p.next().unwrap(), Event::Text("1".into()));
+        assert!(p.next().is_err(), "</a> does not close <r>");
     }
 
     #[test]
