@@ -192,8 +192,16 @@ fn count_process_threads() -> Option<usize> {
 /// Keep-alive storm: `n` non-blocking connections multiplexed on one
 /// bench-side reactor, each making `calls` echo requests against an HTTP
 /// echo server with a small fixed CPU pool, then parking idle. Returns
-/// the latency histogram. Exits nonzero when the c10k self-checks fail.
-fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> HistogramSnapshot {
+/// the call latency and the `connect()` latency histograms. Every call
+/// clock starts once all `n` sockets are connected, so connecting the
+/// other sockets never counts as call latency. Exits nonzero when the
+/// c10k self-checks fail.
+fn run_storm(
+    n: usize,
+    calls: usize,
+    workers: usize,
+    reg: &Registry,
+) -> (HistogramSnapshot, HistogramSnapshot) {
     use sbq_runtime::reactor::{Interest, Reactor, Token};
 
     let handle = sbq_http::HttpServer::bind_with(
@@ -220,9 +228,12 @@ fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> Histogra
     };
 
     let reactor = Reactor::new().expect("bench reactor");
+    let connect_hist = reg.histogram(&format!("bench.storm_connect_ns.c{n}"));
     let mut conns: Vec<StormConn> = Vec::with_capacity(n);
     for i in 0..n {
+        let t0 = Instant::now();
         let stream = std::net::TcpStream::connect(addr).expect("storm connect");
+        connect_hist.record_duration(t0.elapsed());
         stream.set_nonblocking(true).expect("nonblocking");
         let _ = stream.set_nodelay(true);
         reactor
@@ -239,6 +250,11 @@ fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> Histogra
         });
     }
 
+    // Every call clock starts here, when polling begins.
+    let polling = Instant::now();
+    for c in &mut conns {
+        c.t0 = polling;
+    }
     let hist = reg.histogram(&format!("bench.storm_call_ns.c{n}"));
     let mut pending = n;
     let mut events = Vec::new();
@@ -367,7 +383,7 @@ fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> Histogra
 
     drop(conns);
     drop(handle);
-    hist.snapshot()
+    (hist.snapshot(), connect_hist.snapshot())
 }
 
 fn main() {
@@ -419,23 +435,29 @@ fn main() {
         &["conns", "p50", "p99", "p999"],
     );
     let mut storm_json = Vec::new();
+    let mut connect_json = Vec::new();
     for &n in storm_levels {
-        let snap = run_storm(n, storm_calls, storm_workers, &reg);
-        println!(
-            "{n:>7} | {} | {} | {}",
-            fmt_dur(Duration::from_nanos(snap.quantile(0.5))),
-            fmt_dur(Duration::from_nanos(snap.quantile(0.99))),
-            fmt_dur(Duration::from_nanos(snap.quantile(0.999))),
-        );
+        let (snap, connect) = run_storm(n, storm_calls, storm_workers, &reg);
+        for (label, snap) in [(format!("{n}"), &snap), (format!("{n} connect"), &connect)] {
+            println!(
+                "{label:>12} | {} | {} | {}",
+                fmt_dur(Duration::from_nanos(snap.quantile(0.5))),
+                fmt_dur(Duration::from_nanos(snap.quantile(0.99))),
+                fmt_dur(Duration::from_nanos(snap.quantile(0.999))),
+            );
+        }
         storm_json.push(format!("\"c{n}\":{}", expo::histogram_json(&snap)));
+        connect_json.push(format!("\"c{n}\":{}", expo::histogram_json(&connect)));
     }
 
     let json = format!(
         "{{\"bench\":\"concurrency\",\"short\":{short},\"workers\":{workers},\
          \"calls_per_client\":{calls},\"unit\":\"ns\",\"levels\":{{{}}},\
-         \"storm\":{{\"workers\":{storm_workers},\"calls_per_conn\":{storm_calls},{}}}}}",
+         \"storm\":{{\"workers\":{storm_workers},\"calls_per_conn\":{storm_calls},{},\
+         \"connect\":{{{}}}}}}}",
         level_json.join(","),
-        storm_json.join(",")
+        storm_json.join(","),
+        connect_json.join(",")
     );
     std::fs::write("BENCH_concurrency.json", format!("{json}\n")).expect("write bench json");
     std::fs::write("BENCH_trace.json", format!("{trace_json}\n")).expect("write trace json");

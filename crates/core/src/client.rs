@@ -28,7 +28,7 @@ use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
 use sbq_qos::QualityManager;
 use sbq_runtime::{BufferPool, SmallRng};
 use sbq_telemetry::trace::TRACE_HEADER;
-use sbq_telemetry::{Counter, Histogram, Registry, Span, TraceSpan, Tracer};
+use sbq_telemetry::{Counter, Phase, Registry, TraceSpan, Tracer};
 use sbq_wsdl::{compile, CompiledService, ServiceDef};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,39 +234,40 @@ impl ClientConfig {
 /// | `client.retries`      | counter   | retried attempts                      |
 /// | `client.retry.suppressed` | counter | retries withheld: failure was ambiguous and the call was not marked idempotent |
 /// | `client.reconnects`   | counter   | reconnects (fresh PBIO session each)  |
-/// | `client.backoff_ns`   | histogram | retry backoff sleeps                  |
+/// | `client.backoff_ns`   | phase     | retry backoff sleeps (span `client.backoff`) |
 /// | `client.msgtype.<t>`  | counter   | quality-reduced responses by type     |
-/// | `marshal.<enc>.encode`| histogram | request marshal time for the encoding |
-/// | `marshal.<enc>.decode`| histogram | response unmarshal time               |
+/// | `marshal.<enc>.encode`| phase     | request marshal time for the encoding |
+/// | `marshal.<enc>.decode`| phase     | response unmarshal time               |
+///
+/// A phase is a histogram and the span of the same name (or the one in
+/// parentheses), both fed from one pair of clock reads.
 struct ClientMetrics {
     registry: Registry,
     calls: Counter,
     retries: Counter,
     retries_suppressed: Counter,
     reconnects: Counter,
-    backoff: Histogram,
-    encode: Histogram,
-    decode: Histogram,
+    backoff: Phase,
+    encode: Phase,
+    decode: Phase,
     tracer: Tracer,
-    encode_name: String,
-    decode_name: String,
 }
 
 impl ClientMetrics {
     fn new(registry: &Registry, encoding: WireEncoding) -> ClientMetrics {
-        let encode_name = format!("marshal.{}.encode", encoding.name());
-        let decode_name = format!("marshal.{}.decode", encoding.name());
+        let marshal = |dir: &str| {
+            let name = format!("marshal.{}.{dir}", encoding.name());
+            registry.phase(&name, &name)
+        };
         ClientMetrics {
             calls: registry.counter("client.calls"),
             retries: registry.counter("client.retries"),
             retries_suppressed: registry.counter("client.retry.suppressed"),
             reconnects: registry.counter("client.reconnects"),
-            backoff: registry.histogram("client.backoff_ns"),
-            encode: registry.histogram(&encode_name),
-            decode: registry.histogram(&decode_name),
+            backoff: registry.phase("client.backoff_ns", "client.backoff"),
+            encode: marshal("encode"),
+            decode: marshal("decode"),
             tracer: registry.tracer(),
-            encode_name,
-            decode_name,
             registry: registry.clone(),
         }
     }
@@ -316,7 +317,9 @@ pub struct SoapClient {
     session: u64,
     stats: CallStats,
     rng: SmallRng,
-    metrics: ClientMetrics,
+    /// Shared so a call can time a phase while it borrows the client
+    /// mutably.
+    metrics: Arc<ClientMetrics>,
     /// Whether the next PBIO call carries the format-registration
     /// handshake (true after connect and every reconnect).
     handshake_pending: bool,
@@ -354,7 +357,7 @@ impl SoapClient {
     ) -> Result<SoapClient, SoapError> {
         let http = HttpClient::connect_with(addr, &config.http)?;
         let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-        let metrics = ClientMetrics::new(&config.telemetry, encoding);
+        let metrics = Arc::new(ClientMetrics::new(&config.telemetry, encoding));
         let pool = config.http.buffer_pool_ref().clone();
         if config.telemetry.is_enabled() {
             pool.set_observer(sbq_telemetry::pool_observer(&config.telemetry));
@@ -480,11 +483,10 @@ impl SoapClient {
                     }
                     root.force_record();
                     let pause = policy.backoff(retry, &mut self.rng);
-                    self.metrics.backoff.record_duration(pause);
                     {
-                        let mut bspan = self.metrics.tracer.child_span("client.backoff", &root_ctx);
-                        bspan.force_record();
-                        bspan.add_tag_u64("retry", (retry + 1) as u64);
+                        let mut backoff = self.metrics.backoff.start(Some(&root_ctx));
+                        backoff.span.force_record();
+                        backoff.span.add_tag_u64("retry", (retry + 1) as u64);
                         std::thread::sleep(pause);
                     }
                     retry += 1;
@@ -577,15 +579,14 @@ impl SoapClient {
         };
 
         let attempt_ctx = attempt.context();
-        let tracer = self.metrics.tracer.clone();
+        let metrics = Arc::clone(&self.metrics);
         let mut req = {
-            let _span = Span::on(&self.metrics.encode);
-            let _tspan = tracer.child_span(&self.metrics.encode_name, &attempt_ctx);
+            let _encode = metrics.encode.start(Some(&attempt_ctx));
             // The first PBIO encode of a session also carries the
             // format-registration handshake (§III-B.a) — make that cost
             // visible as its own span.
             let _handshake = (self.handshake_pending && self.encoding == WireEncoding::Pbio)
-                .then(|| tracer.child_span("pbio.handshake", &attempt_ctx));
+                .then(|| metrics.tracer.child_span("pbio.handshake", &attempt_ctx));
             self.encode_request(operation, &params, &stub.input_format, &header)?
         };
         self.handshake_pending = false;
@@ -617,8 +618,7 @@ impl SoapClient {
         }
 
         let (value, resp_header) = {
-            let _span = Span::on(&self.metrics.decode);
-            let _tspan = tracer.child_span(&self.metrics.decode_name, &attempt_ctx);
+            let _decode = metrics.decode.start(Some(&attempt_ctx));
             self.decode_response(&mut resp, &stub.output, &stub.output_format)?
         };
 

@@ -19,8 +19,8 @@ use sbq_http::{Admission, HttpServer, Request, Response, ServerConfig, ServerHan
 use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
 use sbq_qos::{FleetQos, QualityManager};
 use sbq_runtime::sync::Mutex;
-use sbq_telemetry::trace::{self, TraceContext};
-use sbq_telemetry::{Counter, Histogram, Registry, Span, TraceSpan, Tracer};
+use sbq_telemetry::trace;
+use sbq_telemetry::{Counter, Phase, Registry, Tracer};
 use sbq_wsdl::{compile, CompiledService, ServiceDef, StubSpec};
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -341,24 +341,27 @@ impl SoapServer {
 /// | `server.faults`        | counter   | SOAP faults returned                |
 /// | `server.reduced`       | counter   | quality-reduced responses           |
 /// | `server.msgtype.<t>`   | counter   | selected response types             |
-/// | `marshal.<enc>.decode` | histogram | request unmarshal time              |
-/// | `marshal.<enc>.encode` | histogram | response marshal time               |
+/// | `marshal.<enc>.decode` | phase     | request unmarshal time              |
+/// | `marshal.<enc>.encode` | phase     | response marshal time               |
 /// | `marshal.simd_level`   | gauge     | latched kernel tier (0/1/2)         |
+///
+/// A phase is a histogram plus the span of the same name, both fed from
+/// one pair of clock reads; the span parents on the HTTP handler span.
 struct ServerMetrics {
     registry: Registry,
     faults: Counter,
     reduced: Counter,
-    decode: Histogram,
-    encode: Histogram,
+    decode: Phase,
+    encode: Phase,
     tracer: Tracer,
-    decode_name: String,
-    encode_name: String,
 }
 
 impl ServerMetrics {
     fn new(registry: &Registry, encoding: WireEncoding) -> ServerMetrics {
-        let decode_name = format!("marshal.{}.decode", encoding.name());
-        let encode_name = format!("marshal.{}.encode", encoding.name());
+        let marshal = |dir: &str| {
+            let name = format!("marshal.{}.{dir}", encoding.name());
+            registry.phase(&name, &name)
+        };
         // The kernel tier is latched process-wide on first query; publishing
         // it at bind means /metrics shows which tier is live before any bulk
         // marshal has run (0 = scalar, 1 = SSE2, 2 = AVX2).
@@ -368,11 +371,9 @@ impl ServerMetrics {
         ServerMetrics {
             faults: registry.counter("server.faults"),
             reduced: registry.counter("server.reduced"),
-            decode: registry.histogram(&decode_name),
-            encode: registry.histogram(&encode_name),
+            decode: marshal("decode"),
+            encode: marshal("encode"),
             tracer: registry.tracer(),
-            decode_name,
-            encode_name,
             registry: registry.clone(),
         }
     }
@@ -380,16 +381,6 @@ impl ServerMetrics {
     fn message_type(&self, mt: &str) {
         if self.registry.is_enabled() {
             self.registry.counter(&format!("server.msgtype.{mt}")).inc();
-        }
-    }
-
-    /// A trace child span under the HTTP layer's thread-local handler
-    /// context, or a no-op span when no context is installed (handler
-    /// invoked outside a traced request).
-    fn trace_child(&self, name: &str, parent: Option<TraceContext>) -> TraceSpan {
-        match parent {
-            Some(p) => self.tracer.child_span(name, &p),
-            None => TraceSpan::disabled(),
         }
     }
 }
@@ -477,10 +468,12 @@ impl ServerState {
     }
 
     fn try_serve(&self, req: &Request) -> Result<Response, SoapError> {
+        // Spans parent on the HTTP layer's thread-local handler context;
+        // without one (a handler invoked outside a traced request) only
+        // the histograms record.
         let parent = trace::current();
         let (operation, params, qos, session) = {
-            let _span = Span::on(&self.metrics.decode);
-            let _tspan = self.metrics.trace_child(&self.metrics.decode_name, parent);
+            let _decode = self.metrics.decode.start(parent.as_ref());
             self.decode_request(req)?
         };
         let stub = self
@@ -554,8 +547,7 @@ impl ServerState {
             server_time_us: server_time.as_micros() as u64,
             message_type,
         };
-        let _span = Span::on(&self.metrics.encode);
-        let _tspan = self.metrics.trace_child(&self.metrics.encode_name, parent);
+        let _encode = self.metrics.encode.start(parent.as_ref());
         self.encode_response(&operation, &result, stub, &resp_header, session)
     }
 
@@ -590,8 +582,9 @@ impl ServerState {
                 let mut sessions = self.sessions.lock();
                 // A session we have never seen carries the PBIO format
                 // handshake in this request; time it as its own span.
-                let handshake = (!sessions.contains_key(&session))
-                    .then(|| self.metrics.trace_child("pbio.handshake", trace::current()));
+                let handshake = trace::current()
+                    .filter(|_| !sessions.contains_key(&session))
+                    .map(|p| self.metrics.tracer.child_span("pbio.handshake", &p));
                 let endpoint = sessions
                     .entry(session)
                     .or_insert_with(|| PbioEndpoint::new(Arc::clone(&self.format_server)));

@@ -16,9 +16,9 @@
 //! * sinks receive events in submission order (per source).
 
 use sbq_model::{TypeDesc, Value};
-use sbq_runtime::channel::{unbounded, Receiver, Sender};
 use sbq_runtime::sync::RwLock;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 /// Errors from channel operations.
@@ -115,7 +115,7 @@ impl EchoBus {
     /// Subscribes a sink; events arrive on the returned receiver.
     pub fn subscribe(&self, name: &str) -> Result<Receiver<Value>, EchoError> {
         let ch = self.get(name)?;
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         ch.sinks.write().push(tx);
         Ok(rx)
     }

@@ -5,7 +5,7 @@
 //! fixed set of counters so a hostile client cannot mint unbounded
 //! metric names.
 
-use sbq_telemetry::{Counter, Gauge, Histogram, Registry};
+use sbq_telemetry::{Counter, Gauge, Histogram, Phase, Registry};
 
 /// Metric names exposed by the HTTP server (dotted form; the text
 /// exposition rewrites dots to underscores).
@@ -26,14 +26,18 @@ use sbq_telemetry::{Counter, Gauge, Histogram, Registry};
 /// | `http.connections.idle` | gauge  | open connections parked between keep-alive requests |
 /// | `http.connections.closed` | counter | connections closed (any reason)          |
 /// | `http.requests.inflight`  | gauge | requests currently inside a handler        |
-/// | `http.queue_wait_ns`  | histogram | dispatch wait, parsed → CPU-pool pickup    |
-/// | `http.read_ns`        | histogram | request parse time (first byte → parsed)   |
-/// | `http.write_ns`       | histogram | response write time                        |
-/// | `http.handler_ns`     | histogram | handler dispatch time                      |
+/// | `http.read_ns`        | phase     | first byte → request parsed (span `server.read`) |
+/// | `http.queue_wait_ns`  | phase     | parsed → CPU-pool pickup (span `server.queue_wait`) |
+/// | `http.handler_ns`     | phase     | handler call (span `server.handler`)       |
+/// | `http.write_ns`       | phase     | response staged → last byte written (span `server.write`) |
 /// | `http.request_us`     | histogram | end-to-end latency (first byte → response ready); tail buckets carry trace-id exemplars |
 /// | `reactor.wakeups`     | counter   | event-loop unparks via the wake pipe       |
 /// | `reactor.events`      | counter   | readiness events delivered by `epoll_wait` |
 /// | `reactor.timeouts`    | counter   | deadline-wheel expirations acted on        |
+///
+/// A *phase* is one [`Phase`] handle: a histogram plus the span of the
+/// same name in parentheses, both fed from one pair of clock reads. The
+/// span records only when the request's trace is sampled.
 ///
 /// The health subsystem adds `reactor.loop_lag_us` / `reactor.stalled` /
 /// `reactor.stalls` (watchdog), `proc.*` (resource accounting), and
@@ -60,10 +64,10 @@ pub(crate) struct HttpMetrics {
     pub(crate) reactor_wakeups: Counter,
     pub(crate) reactor_events: Counter,
     pub(crate) reactor_timeouts: Counter,
-    pub(crate) queue_wait: Histogram,
-    pub(crate) read: Histogram,
-    pub(crate) write: Histogram,
-    pub(crate) handler: Histogram,
+    pub(crate) queue_wait: Phase,
+    pub(crate) read: Phase,
+    pub(crate) write: Phase,
+    pub(crate) handler: Phase,
     pub(crate) request: Histogram,
 }
 
@@ -91,10 +95,10 @@ impl HttpMetrics {
             reactor_wakeups: reg.counter("reactor.wakeups"),
             reactor_events: reg.counter("reactor.events"),
             reactor_timeouts: reg.counter("reactor.timeouts"),
-            queue_wait: reg.histogram("http.queue_wait_ns"),
-            read: reg.histogram("http.read_ns"),
-            write: reg.histogram("http.write_ns"),
-            handler: reg.histogram("http.handler_ns"),
+            queue_wait: reg.phase("http.queue_wait_ns", "server.queue_wait"),
+            read: reg.phase("http.read_ns", "server.read"),
+            write: reg.phase("http.write_ns", "server.write"),
+            handler: reg.phase("http.handler_ns", "server.handler"),
             request: reg.histogram("http.request_us"),
         }
     }

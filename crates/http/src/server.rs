@@ -22,16 +22,16 @@ use crate::message::{
     DEFAULT_IO_TIMEOUT,
 };
 use crate::metrics::HttpMetrics;
-use sbq_runtime::channel::{self, Receiver, Sender};
 use sbq_runtime::reactor::{Event, Interest, Token};
 use sbq_runtime::{BufferPool, CpuPool, DeadlineWheel, Reactor};
 use sbq_telemetry::trace;
 use sbq_telemetry::{
-    HealthConfig, HealthMonitor, HealthSnapshot, Registry, Span, TraceContext, TraceSpan, Tracer,
+    HealthConfig, HealthMonitor, HealthSnapshot, Registry, TraceContext, TraceSpan, Tracer,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -353,7 +353,7 @@ impl HttpServer {
         });
         let reactor = Arc::new(Reactor::new()?);
         reactor.register(&listener, LISTENER_TOKEN, Interest::READABLE)?;
-        let (done_tx, done_rx) = channel::unbounded();
+        let (done_tx, done_rx) = mpsc::channel();
         let ev = EventLoop {
             ctx: Arc::clone(&ctx),
             reactor: Arc::clone(&reactor),
@@ -1248,7 +1248,8 @@ impl EventLoop {
             .map(|v| v.eq_ignore_ascii_case("close"))
             .unwrap_or(false);
         let idx = ctx.requests.fetch_add(1, Ordering::SeqCst);
-        ctx.metrics.read.record_duration(read_start.elapsed());
+        // The read phase ends here, before any stall or admission work.
+        let parsed = Instant::now();
         let rid = request_id(&req, idx);
         if let Some(d) = ctx.config.faults.stall_for(idx) {
             // Deliberate reactor-thread stall (tests): hold the event
@@ -1270,6 +1271,7 @@ impl EventLoop {
                 };
                 if let Admission::Respond(mut resp) = (hook.0)(&req, &load) {
                     let mut req = req;
+                    ctx.metrics.read.record(None, read_start, parsed);
                     ctx.metrics.shed.inc();
                     ctx.metrics.method(&req.method);
                     ctx.metrics.status(resp.status);
@@ -1313,7 +1315,7 @@ impl EventLoop {
         req_span.add_tag("req_id", &rid);
         req_span.add_tag("method", &req.method);
         let sctx = req_span.context();
-        drop(ctx.tracer.child_span_at("server.read", &sctx, read_start));
+        ctx.metrics.read.record(Some(&sctx), read_start, parsed);
         let meta = JobMeta {
             slot,
             token,
@@ -1560,14 +1562,7 @@ impl EventLoop {
                 self.ctx
                     .metrics
                     .write
-                    .record_duration(job.started.elapsed());
-                if let Some(sctx) = &job.sctx {
-                    drop(
-                        self.ctx
-                            .tracer
-                            .child_span_at("server.write", sctx, job.started),
-                    );
-                }
+                    .record(job.sctx.as_ref(), job.started, Instant::now());
                 drop(req_span); // request span ends with its last byte
             }
             // The head scratch goes back on the connection, not to the
@@ -1618,13 +1613,9 @@ fn run_request_job(
         mut req_span,
         sctx,
     } = meta;
-    let wait = dispatched.elapsed();
-    ctx.metrics.queue_wait.record_duration(wait);
-    drop(ctx.tracer.child_span_at(
-        "server.queue_wait",
-        &sctx,
-        trace::backdate(Instant::now(), wait),
-    ));
+    ctx.metrics
+        .queue_wait
+        .record(Some(&sctx), dispatched, Instant::now());
     ctx.metrics.method(&req.method);
     let mut close = close_requested;
     let builtin = builtin_response(&ctx, &req);
@@ -1637,10 +1628,9 @@ fn run_request_job(
             // answer 500, closing this connection only. The request id in
             // the body lets a client report which call blew up.
             ctx.metrics.inflight.inc();
-            let handler_span = Span::on(&ctx.metrics.handler);
-            let mut handler_tspan = ctx.tracer.child_span("server.handler", &sctx);
-            let hctx = handler_tspan.context();
-            let enabled = handler_tspan.is_enabled();
+            let mut handler = ctx.metrics.handler.start(Some(&sctx));
+            let hctx = handler.span.context();
+            let enabled = handler.span.is_enabled();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Lower layers (marshalling, QoS) parent their spans on
                 // this thread-local context.
@@ -1648,10 +1638,9 @@ fn run_request_job(
                 (ctx.handler)(&req)
             }));
             if result.is_err() {
-                handler_tspan.set_error();
+                handler.span.set_error();
             }
-            drop(handler_tspan);
-            drop(handler_span);
+            drop(handler);
             ctx.metrics.inflight.dec();
             match result {
                 Ok(resp) => resp,

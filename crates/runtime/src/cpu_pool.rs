@@ -4,8 +4,9 @@
 //! The split this enables is the whole point of the reactor
 //! architecture: the event loop owns *readiness* (cheap, one thread, ten
 //! thousand sockets), the pool owns *computation* (bounded threads, one
-//! job at a time each). Jobs are `FnOnce` closures over an unbounded
-//! MPMC channel; submission never blocks the event loop.
+//! job at a time each). Jobs are `FnOnce` closures on an unbounded FIFO
+//! queue that every worker waits on; submission never blocks the event
+//! loop.
 //!
 //! On top of the fire-and-forget [`CpuPool::spawn`] API sits a blocking
 //! fork/join primitive, [`CpuPool::run_parallel`]: the caller hands over
@@ -17,11 +18,10 @@
 //! fields across cores; [`PoolStats`] exposes `steals` and
 //! `parallel_jobs` counters for telemetry.
 
-use crate::channel::{self, Sender};
 use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -40,9 +40,61 @@ pub struct PoolStats {
 
 /// Fixed pool of named worker threads executing submitted closures.
 pub struct CpuPool {
-    tx: Option<Sender<Job>>,
+    queue: Arc<JobQueue>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<PoolStats>,
+}
+
+/// The pool's job queue. Once closed it takes no new jobs, and workers
+/// exit after draining the ones already queued.
+#[derive(Default)]
+struct JobQueue {
+    state: std::sync::Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    closed: bool,
+}
+
+impl JobQueue {
+    fn lock(&self) -> std::sync::MutexGuard<'_, QueueState> {
+        // Jobs never run under the lock, so poison cannot carry a
+        // half-done update.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, job: Job) -> bool {
+        let mut st = self.lock();
+        if st.closed {
+            return false;
+        }
+        st.jobs.push_back(job);
+        drop(st);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Blocks for the next job; `None` once closed and drained.
+    fn pop(&self) -> Option<Job> {
+        let mut st = self.lock();
+        loop {
+            if let Some(job) = st.jobs.pop_front() {
+                return Some(job);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// State shared between the caller and helper workers of one
@@ -90,14 +142,14 @@ impl CpuPool {
     /// Spawns `threads` workers (at least one), named `sbq-cpu-N`.
     pub fn new(threads: usize) -> CpuPool {
         let threads = threads.max(1);
-        let (tx, rx) = channel::unbounded::<Job>();
+        let queue = Arc::new(JobQueue::default());
         let workers = (0..threads)
             .map(|i| {
-                let rx = rx.clone();
+                let queue = Arc::clone(&queue);
                 std::thread::Builder::new()
                     .name(format!("sbq-cpu-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        while let Some(job) = queue.pop() {
                             // A panicking job must not shrink the pool: the
                             // submitter is responsible for its own panic
                             // handling (the HTTP server catches handler
@@ -109,7 +161,7 @@ impl CpuPool {
             })
             .collect();
         CpuPool {
-            tx: Some(tx),
+            queue,
             workers,
             stats: Arc::new(PoolStats::default()),
         }
@@ -127,10 +179,7 @@ impl CpuPool {
 
     /// Queues `f` for execution; returns `false` after shutdown.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, f: F) -> bool {
-        match &self.tx {
-            Some(tx) => tx.send(Box::new(f)).is_ok(),
-            None => false,
-        }
+        self.queue.push(Box::new(f))
     }
 
     /// Executes `f(0..chunks)` with the pool's workers helping, blocking
@@ -148,8 +197,9 @@ impl CpuPool {
         if chunks == 0 {
             return;
         }
+        // No workers are left after shutdown, so this also covers it.
         let helpers = self.workers.len().min(chunks - 1);
-        if helpers == 0 || self.tx.is_none() {
+        if helpers == 0 {
             for i in 0..chunks {
                 f(i);
             }
@@ -189,10 +239,10 @@ impl CpuPool {
         }
     }
 
-    /// Drops the submission side, lets workers drain queued jobs, and
-    /// joins them. Idempotent.
+    /// Closes the queue, lets workers drain queued jobs, and joins them.
+    /// Idempotent.
     pub fn shutdown(&mut self) {
-        self.tx = None;
+        self.queue.close();
         for w in self.workers.drain(..) {
             let _ = w.join();
         }

@@ -8,9 +8,6 @@
 //! * [`sync`] — [`Mutex`]/[`RwLock`] with `parking_lot`-style guards
 //!   (locking never returns a `Result`; a poisoned lock propagates the
 //!   original panic instead of surfacing `PoisonError` at every caller).
-//! * [`channel`] — cloneable MPMC channels with bounded (backpressure)
-//!   and unbounded flavors, the subset of `crossbeam-channel` the event
-//!   bus and the HTTP accept queue need.
 //! * [`rand`] — a small, seedable, splittable PRNG (SplitMix64 core) for
 //!   deterministic jitter, loss, and fuzz-test generation.
 //! * [`pool`] — a sharded, size-classed [`BufferPool`] so steady-state
@@ -27,7 +24,6 @@
 //!   detection, with bit-exact scalar fallbacks and an `SBQ_NO_SIMD`
 //!   override.
 
-pub mod channel;
 pub mod cpu_pool;
 pub mod pool;
 pub mod rand;

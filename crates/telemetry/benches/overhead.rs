@@ -2,13 +2,14 @@
 //!
 //! Demonstrates the hot-path cost of telemetry on pre-resolved handles:
 //! counter increments and histogram records should land well under
-//! 100 ns/op, and disabled handles under a few ns/op.
+//! 100 ns/op, and disabled handles under a few ns/op. Exits nonzero when
+//! `counter.inc` or `histogram.record` goes over that budget.
 //!
 //! ```sh
-//! cargo bench -p sbq-telemetry
+//! cargo bench -p sbq-telemetry --bench overhead
 //! ```
 
-use sbq_telemetry::{Registry, Span, TraceConfig};
+use sbq_telemetry::{Registry, TraceConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -41,16 +42,11 @@ fn main() {
     let g = reg.gauge("bench.gauge");
     ns_per_op("gauge.add", |_| g.add(1));
 
-    let hs = reg.histogram("bench.span");
-    ns_per_op("span (enter+drop, clocked)", |_| drop(Span::on(&hs)));
-
     let c_off = off.counter("bench.counter");
     ns_per_op("counter.inc (disabled)", |_| c_off.inc());
 
     let h_off = off.histogram("bench.histogram");
     ns_per_op("histogram.record (disabled)", |i| h_off.record(i));
-
-    ns_per_op("span (disabled)", |_| drop(Span::on(&h_off)));
 
     // Trace spans into the flight recorder: sampled (packs + publishes
     // a 26-word slot), unsampled (clock reads only), and disabled.
@@ -77,6 +73,16 @@ fn main() {
         drop(tracer_off.root_span("bench.trace"))
     });
 
+    // Phases: one clock-read pair feeding a histogram and, under a
+    // sampled parent, a span in the ring.
+    let phase = reg.phase("bench.phase_ns", "bench.phase");
+    let sampled = tracer.root_span("bench.root").context();
+    ns_per_op("phase (sampled)", |_| drop(phase.start(Some(&sampled))));
+    let unsampled = unsampled.root_span("bench.root").context();
+    ns_per_op("phase (unsampled)", |_| drop(phase.start(Some(&unsampled))));
+    let phase_off = off.phase("bench.phase_ns", "bench.phase");
+    ns_per_op("phase (disabled)", |_| drop(phase_off.start(None)));
+
     // Contended: 8 threads on one counter and one histogram.
     let t0 = Instant::now();
     let threads: Vec<_> = (0..8)
@@ -99,8 +105,13 @@ fn main() {
 
     println!();
     let budget = 100.0;
+    let mut over = false;
     for (label, ns) in [("counter.inc", counter_ns), ("histogram.record", hist_ns)] {
         let verdict = if ns <= budget { "OK" } else { "OVER BUDGET" };
+        over |= ns > budget;
         println!("{label}: {ns:.2} ns/op vs {budget:.0} ns budget — {verdict}");
+    }
+    if over {
+        std::process::exit(1);
     }
 }

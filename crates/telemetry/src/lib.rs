@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency metrics and tracing for the SOAP-binQ stack: the
 //! monitoring plane a continuous-quality-management system needs in
-//! order to be *inspectable* — per-stage span timings for the
+//! order to be *inspectable* — per-phase timings for the
 //! marshal/convert/compress/transport pipeline, counters and gauges for
 //! the transport runtime, and RTT/band metrics for the QoS layer.
 //!
@@ -13,7 +13,7 @@
 //!    indexed per-thread; recording is a thread-local read plus a handful
 //!    of relaxed atomic ops. No locks, no allocation, no syscalls.
 //! 2. **Runtime-optional.** A [`Registry::disabled`] registry hands out
-//!    handles that no-op (and spans that never read the clock), so
+//!    handles that no-op (and phases that never read the clock), so
 //!    instrumented code pays one branch when telemetry is off.
 //! 3. **Zero dependencies.** `std` only — the offline-build rule of this
 //!    workspace.
@@ -23,7 +23,9 @@
 //! A [`Registry`] maps names to metrics and hands out cheaply-cloneable
 //! handles ([`Counter`], [`Gauge`], [`Histogram`]); resolve handles once
 //! and record through them (resolution takes a read-lock, recording never
-//! does). [`Span`] times a scope into a histogram. The process-wide
+//! does). A [`Phase`] times one stage of a call once and feeds that
+//! duration to both a histogram and, under a sampled trace, a
+//! [`TraceSpan`] — so `/metrics` and `/trace.json` agree. The process-wide
 //! [`Registry::global`] is what the stack's layers default to; servers
 //! expose it over `GET /metrics` (text exposition, see
 //! [`Registry::render_text`]) and `GET /metrics.json`
@@ -37,19 +39,19 @@ pub mod expo;
 pub mod health;
 pub mod histogram;
 pub mod metrics;
+pub mod phase;
 pub mod pool;
 pub mod profile;
 pub mod slo;
-pub mod span;
 pub mod trace;
 
 pub use health::{HealthConfig, HealthMonitor, HealthSnapshot, ProcSampler, Slowlog};
 pub use histogram::{Exemplar, Histogram, HistogramSnapshot};
 pub use metrics::{Counter, Gauge};
+pub use phase::{Phase, PhaseGuard};
 pub use pool::pool_observer;
 pub use profile::PhaseProfile;
 pub use slo::{SloConfig, SloEngine, SloSnapshot};
-pub use span::Span;
 pub use trace::{SpanEvent, TraceConfig, TraceContext, TraceSpan, Tracer};
 
 use histogram::HistCell;
@@ -125,7 +127,7 @@ impl Registry {
         }
     }
 
-    /// A registry whose handles all no-op (spans skip the clock read).
+    /// A registry whose handles all no-op (phases skip the clock read).
     pub fn disabled() -> Registry {
         Registry { inner: None }
     }
@@ -163,13 +165,14 @@ impl Registry {
         )
     }
 
-    /// Starts a [`Span`] recording elapsed nanoseconds into the histogram
-    /// named `name`.
-    pub fn span(&self, name: &str) -> Span {
-        if self.inner.is_none() {
-            return Span::disabled();
+    /// A [`Phase`] recording nanoseconds into the histogram named
+    /// `histogram` and, under a traced parent, spans named `span`.
+    pub fn phase(&self, histogram: &str, span: &str) -> Phase {
+        Phase {
+            hist: self.histogram(histogram),
+            tracer: self.tracer(),
+            span: span.into(),
         }
-        Span::on(&self.histogram(name))
     }
 
     /// Sets the tracing configuration (ring capacity, sampling ratio)

@@ -39,7 +39,7 @@ use sbq_runtime::rand::SmallRng;
 use std::cell::Cell as StdCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 /// The HTTP header that carries a [`TraceContext`] between processes.
 pub const TRACE_HEADER: &str = "X-SBQ-Trace";
@@ -52,8 +52,9 @@ const FLAG_SAMPLED: u8 = 0x01;
 
 /// Identity of one trace position: which trace, which span, and whether
 /// the head-sampling decision kept it. Copied into every child span and
-/// serialized onto the wire as the `X-SBQ-Trace` header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// serialized onto the wire as the `X-SBQ-Trace` header. The all-zero
+/// default is the context of a disabled span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceContext {
     /// 128-bit trace id shared by every span of one logical call.
     pub trace_id: u128,
@@ -501,9 +502,9 @@ impl Tracer {
         self.child_span_at(name, parent, Instant::now())
     }
 
-    /// Like [`Tracer::child_span`] but backdated to `start` — for
-    /// phases (queue wait, read) whose beginning predates the moment
-    /// the span object can be constructed.
+    /// Like [`Tracer::child_span`] but starting at `start` — for spans
+    /// whose beginning predates the moment the span object can be
+    /// constructed (a server request starts at its first byte).
     pub fn child_span_at(&self, name: &str, parent: &TraceContext, start: Instant) -> TraceSpan {
         let Some(inner) = &self.inner else {
             return TraceSpan::disabled();
@@ -634,19 +635,10 @@ impl std::fmt::Debug for Tracer {
 // TraceSpan
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Tag {
     key: [u8; TAG_KEY_BYTES],
     val: [u8; TAG_VAL_BYTES],
-}
-
-impl Default for Tag {
-    fn default() -> Tag {
-        Tag {
-            key: [0; TAG_KEY_BYTES],
-            val: [0; TAG_VAL_BYTES],
-        }
-    }
 }
 
 /// One in-flight span. Records itself into the flight recorder on drop
@@ -695,11 +687,7 @@ impl TraceSpan {
     pub fn disabled() -> TraceSpan {
         TraceSpan {
             inner: None,
-            ctx: TraceContext {
-                trace_id: 0,
-                span_id: 0,
-                flags: 0,
-            },
+            ctx: TraceContext::default(),
             parent_id: 0,
             name: [0; NAME_BYTES],
             start: None,
@@ -785,32 +773,17 @@ impl TraceSpan {
     pub fn force_record(&mut self) {
         self.force = true;
     }
-}
 
-fn format_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
-    if v == 0 {
-        buf[0] = b'0';
-        return std::str::from_utf8(&buf[..1]).unwrap();
-    }
-    let mut i = buf.len();
-    while v > 0 {
-        i -= 1;
-        buf[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-    }
-    buf.copy_within(i.., 0);
-    let len = 20 - i;
-    std::str::from_utf8(&buf[..len]).unwrap()
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(inner) = &self.inner else { return };
-        if !(self.ctx.sampled() || self.error || self.force) {
+    /// Ends the span at `end`: writes it to the ring if it records, then
+    /// disarms it so dropping it writes nothing more.
+    pub(crate) fn end_at(&mut self, end: Instant) {
+        if !self.is_recording() {
             return;
         }
-        let Some(start) = self.start else { return };
-        let dur = start.elapsed();
+        let (Some(inner), Some(start)) = (self.inner.take(), self.start) else {
+            return;
+        };
+        let dur = end.saturating_duration_since(start);
         let start_us = start
             .saturating_duration_since(inner.epoch)
             .as_micros()
@@ -831,6 +804,30 @@ impl Drop for TraceSpan {
         }
         inner.recorder.record(&words);
         inner.recorded.inc();
+    }
+}
+
+fn format_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
+    if v == 0 {
+        buf[0] = b'0';
+        return std::str::from_utf8(&buf[..1]).unwrap();
+    }
+    let mut i = buf.len();
+    while v > 0 {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    buf.copy_within(i.., 0);
+    let len = 20 - i;
+    std::str::from_utf8(&buf[..len]).unwrap()
+}
+
+impl Drop for TraceSpan {
+    fn drop(&mut self) {
+        if self.is_recording() {
+            self.end_at(Instant::now());
+        }
     }
 }
 
@@ -883,12 +880,6 @@ impl Drop for CurrentGuard {
     fn drop(&mut self) {
         CURRENT.with(|c| c.set(self.prev.take()));
     }
-}
-
-/// Helper for phase spans whose start predates span construction:
-/// `now - wait`, clamped at the epoch when the wait exceeds uptime.
-pub fn backdate(now: Instant, wait: Duration) -> Instant {
-    now.checked_sub(wait).unwrap_or(now)
 }
 
 #[cfg(test)]
@@ -1250,13 +1241,5 @@ mod tests {
         assert_ne!(c1.trace_id, 0);
         assert_ne!(c1.span_id, 0);
         assert_ne!(c1.trace_id, c2.trace_id);
-    }
-
-    #[test]
-    fn backdate_clamps_at_epoch() {
-        let now = Instant::now();
-        assert_eq!(backdate(now, Duration::ZERO), now);
-        let far = Duration::from_secs(60 * 60 * 24 * 365 * 100);
-        let _ = backdate(now, far); // must not panic, may clamp to now
     }
 }
