@@ -147,35 +147,11 @@ fn run_level(
 struct StormConn {
     stream: std::net::TcpStream,
     out_pos: usize,
-    inbuf: Vec<u8>,
+    decoder: sbq_http::Decoder<sbq_http::Response>,
     calls_left: usize,
     t0: Instant,
     writing: bool,
     done: bool,
-}
-
-/// Parses one complete echo response out of `buf`; returns the number of
-/// bytes it consumed, or 0 if more bytes are needed.
-fn response_len(buf: &[u8]) -> usize {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return 0;
-    };
-    let head = &buf[..head_end + 4];
-    let text = String::from_utf8_lossy(head);
-    let cl: usize = text
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .unwrap_or(0);
-    let total = head_end + 4 + cl;
-    if buf.len() >= total {
-        total
-    } else {
-        0
-    }
 }
 
 fn count_process_threads() -> Option<usize> {
@@ -215,17 +191,12 @@ fn run_storm(
     .expect("bind storm server");
     let addr = handle.addr();
 
-    let request: Vec<u8> = {
-        let body = vec![0x5a_u8; 64];
-        let mut r = format!(
-            "POST /echo HTTP/1.1\r\nHost: b\r\nContent-Type: application/octet-stream\r\n\
-             Content-Length: {}\r\n\r\n",
-            body.len()
-        )
-        .into_bytes();
-        r.extend_from_slice(&body);
-        r
+    let request = {
+        let mut r = sbq_http::Request::post("/echo", "application/octet-stream", vec![0x5a; 64]);
+        r.headers.push(("Host".to_string(), "b".to_string()));
+        r.to_bytes()
     };
+    let pool = sbq_runtime::BufferPool::new();
 
     let reactor = Reactor::new().expect("bench reactor");
     let connect_hist = reg.histogram(&format!("bench.storm_connect_ns.c{n}"));
@@ -242,7 +213,7 @@ fn run_storm(
         conns.push(StormConn {
             stream,
             out_pos: 0,
-            inbuf: Vec::new(),
+            decoder: sbq_http::Decoder::new(sbq_http::Limits::default()),
             calls_left: calls,
             t0: Instant::now(),
             writing: true,
@@ -285,7 +256,6 @@ fn run_storm(
                             c.out_pos += k;
                             if c.out_pos == request.len() {
                                 c.writing = false;
-                                c.inbuf.clear();
                                 reactor
                                     .reregister(&c.stream, ev.token, Interest::READABLE)
                                     .expect("reregister read");
@@ -306,11 +276,17 @@ fn run_storm(
                             std::process::exit(1);
                         }
                         Ok(k) => {
-                            c.inbuf.extend_from_slice(&chunk[..k]);
-                            let used = response_len(&c.inbuf);
-                            if used > 0 {
+                            let used = c.decoder.feed(&chunk[..k], &pool).unwrap_or_else(|e| {
+                                eprintln!("storm response malformed: {e}");
+                                std::process::exit(1);
+                            });
+                            if let Some(resp) = c.decoder.take() {
+                                if used != k {
+                                    eprintln!("storm server sent bytes past a response");
+                                    std::process::exit(1);
+                                }
                                 hist.record_duration(c.t0.elapsed());
-                                c.inbuf.drain(..used);
+                                pool.put(resp.body);
                                 c.calls_left -= 1;
                                 if c.calls_left == 0 {
                                     // Park idle (still open) for the self-check.

@@ -95,40 +95,11 @@ fn service() -> ServiceDef {
     )
 }
 
-/// Parses one complete HTTP response out of `buf`; returns
-/// `(bytes_consumed, status)` or `(0, 0)` if more bytes are needed.
-fn response_len(buf: &[u8]) -> (usize, u16) {
-    let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
-        return (0, 0);
-    };
-    let head = &buf[..head_end + 4];
-    let text = String::from_utf8_lossy(head);
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let cl: usize = text
-        .lines()
-        .find_map(|l| {
-            let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .unwrap_or(0);
-    let total = head_end + 4 + cl;
-    if buf.len() >= total {
-        (total, status)
-    } else {
-        (0, 0)
-    }
-}
-
 struct FleetConn {
     stream: std::net::TcpStream,
     request: Vec<u8>,
     out_pos: usize,
-    inbuf: Vec<u8>,
+    decoder: sbq_http::Decoder<sbq_http::Response>,
     t0: Instant,
     writing: bool,
     done: bool,
@@ -212,7 +183,7 @@ fn run_fleet(
             stream,
             request: Vec::new(),
             out_pos: 0,
-            inbuf: Vec::new(),
+            decoder: sbq_http::Decoder::new(sbq_http::Limits::default()),
             t0: Instant::now(),
             writing: true,
             done: true,
@@ -223,6 +194,7 @@ fn run_fleet(
 
     let hist: Histogram = reg.histogram(&format!("bench.fleet.{label}.call_ns"));
     let hist_overload: Histogram = reg.histogram(&format!("bench.fleet.{label}.overload_ns"));
+    let pool = sbq_runtime::BufferPool::new();
     let mut events = Vec::new();
     let mut peak_seen = false;
     for round in 0..rounds {
@@ -243,24 +215,23 @@ fn run_fleet(
                 message_type: None,
             };
             let body = envelope::build_request("read", &Value::Int(round as i64), &qos);
-            let mut req = format!(
-                "POST /Telemetry HTTP/1.1\r\nHost: b\r\nContent-Type: {}\r\n\
-                 X-Qos-Client: c{i}\r\n{}Content-Length: {}\r\n\r\n",
+            let mut req = sbq_http::Request::post(
+                "/Telemetry",
                 WireEncoding::Xml.content_type(),
-                // A fifth of the fleet marks its calls idempotent:
-                // admission degrades these instead of shedding them.
-                if i % 5 == 0 {
-                    "X-Idempotent: 1\r\n"
-                } else {
-                    ""
-                },
-                body.len()
-            )
-            .into_bytes();
-            req.extend_from_slice(body.as_bytes());
-            c.request = req;
+                body.into_bytes(),
+            );
+            req.headers.push(("Host".to_string(), "b".to_string()));
+            req.headers
+                .push(("X-Qos-Client".to_string(), format!("c{i}")));
+            // A fifth of the fleet marks its calls idempotent: admission
+            // degrades these instead of shedding them.
+            if i % 5 == 0 {
+                req.headers
+                    .push(("X-Idempotent".to_string(), "1".to_string()));
+            }
+            c.request = req.to_bytes();
             c.out_pos = 0;
-            c.inbuf.clear();
+            c.decoder = sbq_http::Decoder::new(sbq_http::Limits::default());
             c.writing = true;
             c.done = false;
         }
@@ -329,19 +300,26 @@ fn run_fleet(
                                 std::process::exit(1);
                             }
                             Ok(k) => {
-                                c.inbuf.extend_from_slice(&chunk[..k]);
-                                let (used, status) = response_len(&c.inbuf);
-                                if used > 0 {
+                                let resp = c
+                                    .decoder
+                                    .feed(&chunk[..k], &pool)
+                                    .map(|_| c.decoder.take())
+                                    .unwrap_or_else(|e| {
+                                        eprintln!("fleet response malformed: {e}");
+                                        std::process::exit(1);
+                                    });
+                                if let Some(resp) = resp {
                                     let dt = c.t0.elapsed();
                                     hist.record_duration(dt);
                                     if overloaded_phase {
                                         hist_overload.record_duration(dt);
                                     }
-                                    if status == 503 {
+                                    if resp.status == 503 {
                                         c.sheds += 1;
                                     } else {
-                                        c.last_resp_bytes = used.max(300);
+                                        c.last_resp_bytes = resp.wire_len().max(300);
                                     }
+                                    pool.put(resp.body);
                                     c.done = true;
                                     reactor
                                         .reregister(&c.stream, ev.token, Interest::NONE)

@@ -682,12 +682,10 @@ impl SoapClient {
                 Ok(req)
             }
             WireEncoding::Xml => {
-                let xml = envelope::build_request(operation, params, header);
-                Ok(Request::post(
-                    &path,
-                    self.encoding.content_type(),
-                    xml.into_bytes(),
-                ))
+                // A pooled body, like the PBIO one: the HTTP layer
+                // recycles it once the request is on the wire.
+                let body = envelope::build_pooled(operation, params, header, &self.pool);
+                Ok(Request::post(&path, self.encoding.content_type(), body))
             }
             WireEncoding::CompressedXml => {
                 let xml = envelope::build_request(operation, params, header);

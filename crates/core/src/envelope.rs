@@ -15,6 +15,7 @@
 use crate::marshal::{value_from_xml, value_to_xml_into};
 use crate::SoapError;
 use sbq_model::{numfmt, TypeDesc, Value};
+use sbq_runtime::BufferPool;
 use sbq_xml::{escape_text, escape_text_into, Event, PullParser};
 use std::borrow::Borrow;
 use std::fmt::Write as _;
@@ -95,20 +96,40 @@ impl QosHeader {
 
 /// Builds a SOAP request envelope for `operation` carrying `params`.
 pub fn build_request(operation: &str, params: &Value, header: &QosHeader) -> String {
-    build_envelope(operation, params, header)
+    build_envelope(operation, params, header, String::new())
 }
 
 /// Builds a SOAP response envelope (`<opResponse>` wrapper).
 pub fn build_response(operation: &str, result: &Value, header: &QosHeader) -> String {
-    build_envelope(&format!("{operation}Response"), result, header)
+    let tag = format!("{operation}Response");
+    build_envelope(&tag, result, header, String::new())
+}
+
+/// An envelope like [`build_request`] or [`build_response`] (`body_tag`
+/// is the operation, or `<op>Response`), built in a buffer from `pool`
+/// as a message body the HTTP layer recycles once it is on the wire.
+pub(crate) fn build_pooled(
+    body_tag: &str,
+    value: &Value,
+    header: &QosHeader,
+    pool: &BufferPool,
+) -> Vec<u8> {
+    let out = String::from_utf8(pool.get(envelope_estimate(value)))
+        .expect("pooled buffers come back empty");
+    build_envelope(body_tag, value, header, out).into_bytes()
 }
 
 /// Room for the prolog, the QoS header and the closing tags, so the body
 /// estimate alone decides when the buffer grows.
 const ENVELOPE_SLACK: usize = 512;
 
-fn build_envelope(body_tag: &str, value: &Value, header: &QosHeader) -> String {
-    let mut out = String::with_capacity(ENVELOPE_SLACK + value.native_size() * 4);
+/// Capacity an envelope carrying `value` is built with.
+fn envelope_estimate(value: &Value) -> usize {
+    ENVELOPE_SLACK + value.native_size() * 4
+}
+
+fn build_envelope(body_tag: &str, value: &Value, header: &QosHeader, mut out: String) -> String {
+    out.reserve(envelope_estimate(value));
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
     out.push_str("<soap:Envelope xmlns:soap=\"");
     out.push_str(ENVELOPE_NS);

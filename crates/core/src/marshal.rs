@@ -198,13 +198,17 @@ const MIN_ITEM_BYTES: usize = 8;
 
 /// Decodes the items of an int or float list straight into a packed
 /// vector. Capacity comes from the bytes left to parse, never from a
-/// declared count, so the buffer is at most as large as the input and the
-/// items never outgrow it; the excess is released once the list closes.
+/// declared count: the first item's footprint sets it, with a quarter to
+/// spare, and it never exceeds one item per `MIN_ITEM_BYTES` of input, so
+/// the buffer is at most as large as the input. A shortest-item bound
+/// alone would reserve about four times what a float list needs, on every
+/// decode. The excess is released once the list closes.
 ///
 /// Each item is first tried as a leaf (`<item>n</item>` in one step);
 /// any other shape goes through the events, with the same result.
 fn packed<T: FromStr>(parser: &mut PullParser<'_>, what: &str) -> Result<Vec<T>, SoapError> {
-    let mut out = Vec::with_capacity(parser.remaining() / MIN_ITEM_BYTES);
+    let start = parser.remaining();
+    let mut out = Vec::new();
     loop {
         let text = match parser.leaf() {
             Some(text) => Cow::Borrowed(text),
@@ -213,7 +217,12 @@ fn packed<T: FromStr>(parser: &mut PullParser<'_>, what: &str) -> Result<Vec<T>,
                 None => break,
             },
         };
-        out.push(literal(&text, what)?);
+        let item = literal(&text, what)?;
+        if out.capacity() == 0 {
+            let per_item = (start - parser.remaining()).max(MIN_ITEM_BYTES);
+            out.reserve_exact((start / per_item * 5 / 4).min(start / MIN_ITEM_BYTES));
+        }
+        out.push(item);
     }
     out.shrink_to_fit();
     Ok(out)

@@ -658,8 +658,11 @@ impl ServerState {
                 Ok(resp)
             }
             WireEncoding::Xml => {
-                let xml = envelope::build_response(operation, result, header);
-                Ok(Response::ok(self.encoding.content_type(), xml.into_bytes()))
+                // A pooled body, like the PBIO one: the HTTP layer
+                // recycles it once the response is on the wire.
+                let tag = format!("{operation}Response");
+                let body = envelope::build_pooled(&tag, result, header, &self.pool);
+                Ok(Response::ok(self.encoding.content_type(), body))
             }
             WireEncoding::CompressedXml => {
                 let xml = envelope::build_response(operation, result, header);

@@ -127,6 +127,37 @@ fn repeated_calls_amortize_format_registration() {
 }
 
 #[test]
+fn xml_bodies_come_from_the_pool_they_return_to() {
+    // Both ends build XML envelopes into pooled buffers, as they do PBIO
+    // frames, so the call loop puts back exactly the buffers it took. A
+    // body allocated outside the pool and recycled into it would instead
+    // grow the pool by a body on every call until the class caps bind.
+    let pool = sbq_runtime::BufferPool::new();
+    let svc = echo_service();
+    let server = SoapServerBuilder::new(&svc, WireEncoding::Xml)
+        .unwrap()
+        .handle("echo_array", |v| v)
+        .transport(ServerConfig::default().buffer_pool(pool.clone()))
+        .bind("127.0.0.1:0".parse().unwrap())
+        .unwrap();
+    let config = soap_binq::ClientConfig::default().buffer_pool(pool.clone());
+    let mut client =
+        SoapClient::connect_with(server.addr(), &svc, WireEncoding::Xml, config).unwrap();
+    let arr = workload::int_array(20_000, 5);
+    let mut call = || assert_eq!(client.call("echo_array", arr.clone()).unwrap(), arr);
+    call();
+    let warm = pool.stats();
+    for _ in 0..10 {
+        call();
+    }
+    let s = pool.stats();
+    let taken = s.hits + s.misses - warm.hits - warm.misses;
+    let returned = s.recycled + s.dropped - warm.recycled - warm.dropped;
+    assert!(taken > 0, "the calls drew no bodies from the pool");
+    assert_eq!(returned, taken, "{warm:?} -> {s:?}");
+}
+
+#[test]
 fn unknown_operation_faults() {
     for enc in all_encodings() {
         let (server, svc) = start_echo(enc);

@@ -105,6 +105,23 @@ fn float_echo_envelope_decodes_in_at_most_ten_allocations() {
 }
 
 #[test]
+fn float_list_reserves_near_its_final_size() {
+    // The first item sizes the vector. A shortest-item bound would reserve
+    // about the whole input, some four times the list's final size.
+    let ty = float_list();
+    let value = workload::float_array(8192, 7);
+    let xml = envelope::build_request("echo", &value, &QosHeader::default());
+    let (parsed, _, peak) = measured(|| envelope::parse_envelope(&xml, |_| Some(&ty)).unwrap());
+    assert_eq!(parsed.value, value);
+    let packed = 8192 * std::mem::size_of::<f64>();
+    assert!(
+        peak <= packed * 3 / 2,
+        "peak {peak} B decoding a {packed} B list from {} B",
+        xml.len()
+    );
+}
+
+#[test]
 fn packed_list_capacity_is_released() {
     let value = workload::int_array(4096, 3);
     let xml = envelope::build_request("echo", &value, &QosHeader::default());

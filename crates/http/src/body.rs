@@ -1,10 +1,8 @@
-//! Strict, streaming HTTP/1.1 body framing.
-//!
-//! This module owns everything between the header section and the next
-//! message on a keep-alive connection: deciding how a body is framed
-//! ([`parse_framing`]), reading it incrementally under size limits
-//! ([`BodyReader`]), and writing it either with a `Content-Length` or as
-//! `Transfer-Encoding: chunked` ([`ChunkPolicy`], [`write_framed`]).
+//! HTTP/1.1 body framing rules: how a body is framed ([`parse_framing`]),
+//! when a sender chunks it ([`ChunkPolicy`]), and the gauge that bounds the
+//! transient buffers framing needs ([`peak_framing_buffer`]). The bytes
+//! themselves are read by [`crate::Decoder`] and written by the codec's
+//! encoder.
 //!
 //! Strictness matters here because framing errors desynchronize
 //! connections: a `Content-Length` that is silently mis-parsed leaves the
@@ -21,21 +19,16 @@
 //! high-water mark of those transient buffers so tests and benches can
 //! assert the bound.
 
-use crate::message::{HttpError, Limits, TimeoutKind};
-use std::io::{BufRead, Write};
+use crate::message::HttpError;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Longest chunk-size line we accept: 16 hex digits (a full `u64`) plus a
-/// generous allowance for a chunk extension, which we ignore.
-const MAX_CHUNK_SIZE_LINE: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Framing-buffer instrumentation
 // ---------------------------------------------------------------------------
 
 /// High-water mark of any transient buffer the framing layer allocated or
-/// processed at once (header lines, chunk-size lines, single chunks, and
-/// whole-message materializations via `to_bytes`). The caller-visible body
+/// processed at once (partial header and chunk-size lines, single chunks,
+/// and encoded message heads). The caller-visible body
 /// `Vec` is *not* counted — the point of this gauge is to prove that
 /// framing a 64 MiB body never needs a second 64 MiB buffer.
 static PEAK_FRAMING_BUFFER: AtomicUsize = AtomicUsize::new(0);
@@ -131,408 +124,7 @@ fn parse_content_length(s: &str) -> Result<u64, HttpError> {
 }
 
 // ---------------------------------------------------------------------------
-// Bounded line reads
-// ---------------------------------------------------------------------------
-
-/// Reads one CRLF- (or LF-) terminated line without ever buffering more
-/// than `cap` bytes of it: the limit is enforced incrementally against the
-/// underlying buffer, so a newline-less flood is rejected after `cap`
-/// bytes instead of being accumulated to arbitrary size first.
-///
-/// Returns `Ok(None)` on EOF before any byte (clean close). A line that is
-/// cut off by EOF is returned as-is, like `BufRead::read_line`.
-pub(crate) fn read_line_capped(
-    r: &mut impl BufRead,
-    cap: usize,
-    what: &'static str,
-) -> Result<Option<String>, HttpError> {
-    let mut line: Vec<u8> = Vec::new();
-    loop {
-        let consumed = {
-            let buf = r
-                .fill_buf()
-                .map_err(|e| HttpError::from_io(e, TimeoutKind::Read))?;
-            if buf.is_empty() {
-                if line.is_empty() {
-                    return Ok(None);
-                }
-                break; // EOF mid-line: surface what we have
-            }
-            let newline = buf.iter().position(|&b| b == b'\n');
-            let take = newline.map(|p| p + 1).unwrap_or(buf.len());
-            // The cap counts line content; allow the CRLF itself on top so
-            // a line of exactly `cap` bytes still parses. Checked *before*
-            // buffering, so no input makes us hold more than cap + 2.
-            if line.len() + take > cap + 2 {
-                return Err(HttpError::TooLarge { what, limit: cap });
-            }
-            line.extend_from_slice(&buf[..take]);
-            record_framing_buffer(line.len());
-            take
-        };
-        r.consume(consumed);
-        if line.ends_with(b"\n") {
-            break;
-        }
-    }
-    while line.last() == Some(&b'\n') || line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    if line.len() > cap {
-        return Err(HttpError::TooLarge { what, limit: cap });
-    }
-    String::from_utf8(line)
-        .map(Some)
-        .map_err(|_| HttpError::Protocol("header line is not valid utf-8".into()))
-}
-
-// ---------------------------------------------------------------------------
-// Streaming body reader
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-enum ReadState {
-    /// Plain `Content-Length` body: bytes left to read.
-    Length { remaining: u64 },
-    /// Between chunks: the next thing on the stream is a chunk-size line.
-    ChunkSize { total: u64 },
-    /// Inside a chunk's data.
-    ChunkData { remaining: u64, total: u64 },
-    /// Fully consumed (trailers included).
-    Done,
-}
-
-/// Opaque, copyable snapshot of a body read in progress — what lets a
-/// non-blocking caller park a partially-read body when the socket runs
-/// dry and resume it (via [`BodyReader::resume`]) when more bytes
-/// arrive. Snapshots are only meaningful at `read_some` boundaries: the
-/// event-driven server snapshots before each call and rolls back to the
-/// snapshot when the call fails with `WouldBlock` mid-token.
-#[derive(Debug, Clone, Copy)]
-pub struct BodyState(ReadState);
-
-impl BodyState {
-    /// The initial state for a body framed as `framing`. A declared
-    /// `Content-Length` beyond `max_body_bytes` is rejected here, before
-    /// any of it is read.
-    pub fn start(framing: BodyFraming, limits: &Limits) -> Result<BodyState, HttpError> {
-        Ok(BodyState(match framing {
-            BodyFraming::Length(n) => {
-                if n > limits.max_body_bytes as u64 {
-                    return Err(HttpError::TooLarge {
-                        what: "body",
-                        limit: limits.max_body_bytes,
-                    });
-                }
-                ReadState::Length { remaining: n }
-            }
-            BodyFraming::Chunked => ReadState::ChunkSize { total: 0 },
-        }))
-    }
-
-    /// Whether the body is fully consumed.
-    pub fn is_done(&self) -> bool {
-        matches!(self.0, ReadState::Done)
-    }
-}
-
-/// An in-memory byte cursor whose exhaustion is `WouldBlock`, not EOF.
-///
-/// The event-driven server parses bodies out of whatever bytes have
-/// arrived so far; running out of buffered bytes means "wait for the
-/// next readiness event", never "the peer closed". Wrapping the buffered
-/// slice in this cursor makes [`BodyReader`] surface that distinction as
-/// `HttpError::Timeout(Read)` (the `WouldBlock` mapping) instead of a
-/// truncation protocol error.
-pub(crate) struct NonBlockCursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> NonBlockCursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> NonBlockCursor<'a> {
-        NonBlockCursor { data, pos: 0 }
-    }
-
-    /// Bytes consumed so far.
-    pub(crate) fn pos(&self) -> usize {
-        self.pos
-    }
-
-    /// Rolls the cursor back to an earlier position (snapshot restore).
-    pub(crate) fn set_pos(&mut self, pos: usize) {
-        debug_assert!(pos <= self.data.len());
-        self.pos = pos.min(self.data.len());
-    }
-}
-
-impl std::io::Read for NonBlockCursor<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let avail = std::io::BufRead::fill_buf(self)?;
-        let n = avail.len().min(buf.len());
-        buf[..n].copy_from_slice(&avail[..n]);
-        self.pos += n;
-        Ok(n)
-    }
-}
-
-impl BufRead for NonBlockCursor<'_> {
-    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
-        if self.pos >= self.data.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WouldBlock,
-                "buffered bytes exhausted",
-            ));
-        }
-        Ok(&self.data[self.pos..])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos = (self.pos + amt).min(self.data.len());
-    }
-}
-
-/// Incremental body reader: pulls body bytes out of a buffered stream
-/// under the declared [`BodyFraming`], enforcing `max_body_bytes` (both
-/// framings) and `max_chunk_bytes` (chunked) *as it goes*, so a hostile
-/// peer can never make it buffer beyond the limits. One instance reads
-/// exactly one message body and leaves the stream positioned at the next
-/// message — the property keep-alive connections live or die by.
-pub struct BodyReader<'a, R: BufRead> {
-    src: &'a mut R,
-    state: ReadState,
-    limits: Limits,
-}
-
-impl<'a, R: BufRead> BodyReader<'a, R> {
-    /// Starts reading a body framed as `framing`. A declared
-    /// `Content-Length` beyond `max_body_bytes` is rejected here, before
-    /// any of it is read.
-    pub fn new(src: &'a mut R, framing: BodyFraming, limits: &Limits) -> Result<Self, HttpError> {
-        Ok(Self::resume(
-            src,
-            BodyState::start(framing, limits)?,
-            limits,
-        ))
-    }
-
-    /// Continues a body read from a [`BodyState`] snapshot (see
-    /// [`BodyReader::state`]). The non-blocking server uses this to pick
-    /// a partially-read body back up on the next readiness event.
-    pub fn resume(src: &'a mut R, state: BodyState, limits: &Limits) -> Self {
-        BodyReader {
-            src,
-            state: state.0,
-            limits: *limits,
-        }
-    }
-
-    /// Snapshot of the framing position, valid at `read_some`
-    /// boundaries.
-    pub fn state(&self) -> BodyState {
-        BodyState(self.state)
-    }
-
-    /// Reads some body bytes into `scratch`, returning how many were
-    /// written; `Ok(0)` means the body is complete. At most one chunk (or
-    /// `scratch.len()` bytes) is consumed per call, so the caller's
-    /// buffer bounds the transient memory.
-    pub fn read_some(&mut self, scratch: &mut [u8]) -> Result<usize, HttpError> {
-        if scratch.is_empty() {
-            return Ok(0);
-        }
-        loop {
-            match self.state {
-                ReadState::Done => return Ok(0),
-                ReadState::Length { remaining } => {
-                    if remaining == 0 {
-                        self.state = ReadState::Done;
-                        return Ok(0);
-                    }
-                    let want = (scratch.len() as u64).min(remaining) as usize;
-                    let n = self
-                        .src
-                        .read(&mut scratch[..want])
-                        .map_err(|e| HttpError::from_io(e, TimeoutKind::Read))?;
-                    if n == 0 {
-                        return Err(HttpError::Protocol("body truncated by peer".into()));
-                    }
-                    self.state = ReadState::Length {
-                        remaining: remaining - n as u64,
-                    };
-                    return Ok(n);
-                }
-                ReadState::ChunkSize { total } => {
-                    let size = self.read_chunk_size()?;
-                    if size == 0 {
-                        self.read_trailers()?;
-                        self.state = ReadState::Done;
-                        return Ok(0);
-                    }
-                    if size > self.limits.max_chunk_bytes as u64 {
-                        return Err(HttpError::TooLarge {
-                            what: "chunk",
-                            limit: self.limits.max_chunk_bytes,
-                        });
-                    }
-                    // Cumulative cap, checked before the chunk is read.
-                    if total + size > self.limits.max_body_bytes as u64 {
-                        return Err(HttpError::TooLarge {
-                            what: "body",
-                            limit: self.limits.max_body_bytes,
-                        });
-                    }
-                    self.state = ReadState::ChunkData {
-                        remaining: size,
-                        total: total + size,
-                    };
-                }
-                ReadState::ChunkData { remaining, total } => {
-                    let want = (scratch.len() as u64).min(remaining) as usize;
-                    let n = self
-                        .src
-                        .read(&mut scratch[..want])
-                        .map_err(|e| HttpError::from_io(e, TimeoutKind::Read))?;
-                    if n == 0 {
-                        return Err(HttpError::Protocol("truncated chunk".into()));
-                    }
-                    record_framing_buffer(n);
-                    let remaining = remaining - n as u64;
-                    if remaining == 0 {
-                        self.expect_crlf()?;
-                        self.state = ReadState::ChunkSize { total };
-                    } else {
-                        self.state = ReadState::ChunkData { remaining, total };
-                    }
-                    return Ok(n);
-                }
-            }
-        }
-    }
-
-    /// Drains the whole body into a `Vec`, growing it chunk by chunk (the
-    /// `Vec` is the caller's body storage; the framing layer itself holds
-    /// no second copy).
-    pub fn read_to_vec(mut self) -> Result<Vec<u8>, HttpError> {
-        match self.state {
-            ReadState::Length { remaining } => {
-                // Exact-size fast path: the declared length was validated
-                // against max_body_bytes in `new`.
-                let mut body = vec![0u8; remaining as usize];
-                self.src.read_exact(&mut body).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        HttpError::Protocol("body truncated by peer".into())
-                    } else {
-                        HttpError::from_io(e, TimeoutKind::Read)
-                    }
-                })?;
-                self.state = ReadState::Done;
-                Ok(body)
-            }
-            _ => {
-                let mut body = Vec::new();
-                let mut scratch = vec![0u8; self.limits.max_chunk_bytes.clamp(512, 64 * 1024)];
-                loop {
-                    let n = self.read_some(&mut scratch)?;
-                    if n == 0 {
-                        return Ok(body);
-                    }
-                    body.extend_from_slice(&scratch[..n]);
-                }
-            }
-        }
-    }
-
-    /// Like [`BodyReader::read_to_vec`], but the body (and the chunked
-    /// scratch buffer) come from `pool`, so a warm pool serves the whole
-    /// read without touching the allocator. Empty bodies skip the pool
-    /// entirely — body-less messages must not churn it.
-    pub fn read_to_pooled(mut self, pool: &sbq_runtime::BufferPool) -> Result<Vec<u8>, HttpError> {
-        match self.state {
-            ReadState::Length { remaining: 0 } => {
-                self.state = ReadState::Done;
-                Ok(Vec::new())
-            }
-            ReadState::Length { remaining } => {
-                let n = remaining as usize;
-                let mut body = pool.get(n);
-                body.resize(n, 0);
-                self.src.read_exact(&mut body).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        HttpError::Protocol("body truncated by peer".into())
-                    } else {
-                        HttpError::from_io(e, TimeoutKind::Read)
-                    }
-                })?;
-                self.state = ReadState::Done;
-                Ok(body)
-            }
-            _ => {
-                let scratch_len = self.limits.max_chunk_bytes.clamp(512, 64 * 1024);
-                let mut scratch = pool.get(scratch_len);
-                scratch.resize(scratch_len, 0);
-                let mut body = pool.get(scratch_len);
-                loop {
-                    let n = self.read_some(&mut scratch)?;
-                    if n == 0 {
-                        pool.put(scratch);
-                        return Ok(body);
-                    }
-                    body.extend_from_slice(&scratch[..n]);
-                }
-            }
-        }
-    }
-
-    fn read_chunk_size(&mut self) -> Result<u64, HttpError> {
-        let line = read_line_capped(self.src, MAX_CHUNK_SIZE_LINE, "chunk-size line")?
-            .ok_or_else(|| HttpError::Protocol("eof before chunk size".into()))?;
-        // Chunk extensions (";ext=val") are tolerated and ignored.
-        let digits = line.split(';').next().unwrap_or("").trim();
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(HttpError::Protocol(format!("bad chunk size: {line:?}")));
-        }
-        u64::from_str_radix(digits, 16)
-            .map_err(|_| HttpError::Protocol(format!("chunk size out of range: {line:?}")))
-    }
-
-    fn read_trailers(&mut self) -> Result<(), HttpError> {
-        // Trailer fields are read (bounded like headers) and discarded.
-        let mut total = 0usize;
-        loop {
-            let line = read_line_capped(self.src, self.limits.max_header_bytes, "header")?
-                .ok_or_else(|| HttpError::Protocol("eof in chunked trailers".into()))?;
-            if line.is_empty() {
-                return Ok(());
-            }
-            total += line.len();
-            if total > self.limits.max_header_bytes {
-                return Err(HttpError::TooLarge {
-                    what: "header",
-                    limit: self.limits.max_header_bytes,
-                });
-            }
-        }
-    }
-
-    fn expect_crlf(&mut self) -> Result<(), HttpError> {
-        let mut crlf = [0u8; 2];
-        self.src.read_exact(&mut crlf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                HttpError::Protocol("truncated chunk".into())
-            } else {
-                HttpError::from_io(e, TimeoutKind::Read)
-            }
-        })?;
-        if &crlf != b"\r\n" {
-            return Err(HttpError::Protocol("missing chunk terminator".into()));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked / streamed writing
+// Chunked writing policy
 // ---------------------------------------------------------------------------
 
 /// When a sender switches from `Content-Length` framing to
@@ -589,57 +181,9 @@ impl Default for ChunkPolicy {
     }
 }
 
-/// Writes one full message (start line + headers + body) under `policy`.
-///
-/// The head is assembled in a small buffer; the body is written straight
-/// from the caller's slice — whole for `Content-Length` framing, in
-/// `chunk_size` slices for chunked framing — so no second body-sized
-/// buffer ever exists. When chunking applies, any `Content-Length` or
-/// `Transfer-Encoding` headers in `headers` are replaced by a single
-/// `Transfer-Encoding: chunked` on the wire.
-pub(crate) fn write_framed(
-    w: &mut impl Write,
-    start_line: &str,
-    headers: &[(String, String)],
-    body: &[u8],
-    policy: &ChunkPolicy,
-) -> std::io::Result<()> {
-    let chunked = policy.applies_to(body.len());
-    let mut head = Vec::with_capacity(256);
-    head.extend_from_slice(start_line.as_bytes());
-    for (k, v) in headers {
-        if chunked
-            && (k.eq_ignore_ascii_case("content-length")
-                || k.eq_ignore_ascii_case("transfer-encoding"))
-        {
-            continue;
-        }
-        head.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-    }
-    if chunked {
-        head.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-    }
-    head.extend_from_slice(b"\r\n");
-    record_framing_buffer(head.len());
-    w.write_all(&head)?;
-    if chunked {
-        for chunk in body.chunks(policy.chunk_size) {
-            record_framing_buffer(chunk.len());
-            write!(w, "{:x}\r\n", chunk.len())?;
-            w.write_all(chunk)?;
-            w.write_all(b"\r\n")?;
-        }
-        w.write_all(b"0\r\n\r\n")?;
-    } else {
-        w.write_all(body)?;
-    }
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufReader, Read};
 
     fn hdrs(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
         pairs
@@ -686,262 +230,6 @@ mod tests {
         assert_eq!(
             parse_framing(&hdrs(&[("Content-Length", "9, 9")])).unwrap(),
             BodyFraming::Length(9)
-        );
-    }
-
-    #[test]
-    fn chunked_decode_round_trip() {
-        let wire = b"4\r\nWiki\r\n5\r\npedia\r\n0\r\n\r\nNEXT";
-        let mut r = BufReader::new(&wire[..]);
-        let body = BodyReader::new(&mut r, BodyFraming::Chunked, &Limits::default())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert_eq!(body, b"Wikipedia");
-        // The reader stopped exactly at the end of the terminator, leaving
-        // the next message intact.
-        let mut rest = Vec::new();
-        r.read_to_end(&mut rest).unwrap();
-        assert_eq!(rest, b"NEXT");
-    }
-
-    #[test]
-    fn chunked_extensions_and_trailers_tolerated() {
-        let wire = b"3;ext=\"v\"\r\nabc\r\n0\r\nX-Trailer: t\r\n\r\n";
-        let mut r = BufReader::new(&wire[..]);
-        let body = BodyReader::new(&mut r, BodyFraming::Chunked, &Limits::default())
-            .unwrap()
-            .read_to_vec()
-            .unwrap();
-        assert_eq!(body, b"abc");
-    }
-
-    #[test]
-    fn truncated_chunk_is_a_protocol_error() {
-        for wire in [
-            &b"ff\r\nonly a few bytes"[..], // EOF inside chunk data
-            b"4\r\nWiki",                   // EOF before chunk CRLF
-            b"4\r\nWikiXX",                 // wrong terminator
-            b"4\r\nWiki\r\n5\r\npedia\r\n", // EOF before final chunk
-            b"zz\r\n",                      // non-hex size
-            b"\r\n",                        // empty size line
-        ] {
-            let mut r = BufReader::new(wire);
-            let res = BodyReader::new(&mut r, BodyFraming::Chunked, &Limits::default())
-                .unwrap()
-                .read_to_vec();
-            assert!(
-                matches!(res, Err(HttpError::Protocol(_))),
-                "{wire:?} → {res:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_limits_enforced_incrementally() {
-        let limits = Limits {
-            max_chunk_bytes: 16,
-            ..Limits::default()
-        };
-        // Declares a 1 MiB chunk but sends nothing: rejected on the
-        // declaration, before any read.
-        let wire = b"100000\r\n";
-        let mut r = BufReader::new(&wire[..]);
-        let res = BodyReader::new(&mut r, BodyFraming::Chunked, &limits)
-            .unwrap()
-            .read_to_vec();
-        assert!(matches!(
-            res,
-            Err(HttpError::TooLarge {
-                what: "chunk",
-                limit: 16
-            })
-        ));
-
-        // Cumulative body cap: many small chunks must trip max_body_bytes.
-        let limits = Limits {
-            max_body_bytes: 10,
-            ..Limits::default()
-        };
-        let wire = b"6\r\nabcdef\r\n6\r\nghijkl\r\n0\r\n\r\n";
-        let mut r = BufReader::new(&wire[..]);
-        let res = BodyReader::new(&mut r, BodyFraming::Chunked, &limits)
-            .unwrap()
-            .read_to_vec();
-        assert!(matches!(
-            res,
-            Err(HttpError::TooLarge {
-                what: "body",
-                limit: 10
-            })
-        ));
-    }
-
-    #[test]
-    fn truncated_length_body_is_a_protocol_error() {
-        // Keep-alive poison: a short body must not be misread as complete.
-        let wire = b"abc";
-        let mut r = BufReader::new(&wire[..]);
-        let res = BodyReader::new(&mut r, BodyFraming::Length(10), &Limits::default())
-            .unwrap()
-            .read_to_vec();
-        assert!(matches!(res, Err(HttpError::Protocol(_))), "{res:?}");
-    }
-
-    #[test]
-    fn read_some_streams_in_bounded_pieces() {
-        let payload = vec![7u8; 10_000];
-        let mut wire = Vec::new();
-        write_framed(
-            &mut wire,
-            "POST / HTTP/1.1\r\n",
-            &[],
-            &payload,
-            &ChunkPolicy::above(0).chunk_size(1024),
-        )
-        .unwrap();
-        // Skip the head we just wrote (ends with the blank line).
-        let body_at = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        let mut r = BufReader::new(&wire[body_at..]);
-        let mut reader = BodyReader::new(&mut r, BodyFraming::Chunked, &Limits::default()).unwrap();
-        let mut out = Vec::new();
-        let mut scratch = [0u8; 300];
-        loop {
-            let n = reader.read_some(&mut scratch).unwrap();
-            if n == 0 {
-                break;
-            }
-            assert!(n <= 300);
-            out.extend_from_slice(&scratch[..n]);
-        }
-        assert_eq!(out, payload);
-    }
-
-    #[test]
-    fn write_framed_emits_content_length_unchanged_below_threshold() {
-        let mut wire = Vec::new();
-        write_framed(
-            &mut wire,
-            "POST /x HTTP/1.1\r\n",
-            &hdrs(&[("Content-Length", "3")]),
-            b"abc",
-            &ChunkPolicy::above(1000),
-        )
-        .unwrap();
-        let text = String::from_utf8(wire).unwrap();
-        assert!(text.contains("Content-Length: 3\r\n"), "{text}");
-        assert!(!text.contains("Transfer-Encoding"), "{text}");
-        assert!(text.ends_with("\r\n\r\nabc"), "{text}");
-    }
-
-    #[test]
-    fn write_framed_replaces_length_with_chunked_above_threshold() {
-        let mut wire = Vec::new();
-        write_framed(
-            &mut wire,
-            "POST /x HTTP/1.1\r\n",
-            &hdrs(&[("Content-Length", "6")]),
-            b"abcdef",
-            &ChunkPolicy::above(4).chunk_size(4),
-        )
-        .unwrap();
-        let text = String::from_utf8(wire).unwrap();
-        assert!(!text.contains("Content-Length"), "{text}");
-        assert!(text.contains("Transfer-Encoding: chunked\r\n"), "{text}");
-        assert!(
-            text.ends_with("4\r\nabcd\r\n2\r\nef\r\n0\r\n\r\n"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn chunked_body_resumes_across_arbitrary_byte_boundaries() {
-        // Feed a chunked body one byte at a time through NonBlockCursor,
-        // snapshotting/rolling back exactly the way the event-driven
-        // server does: the decoded body must come out identical no matter
-        // where the "socket" ran dry (including mid-size-line and between
-        // a chunk's data and its trailing CRLF).
-        let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let mut wire = Vec::new();
-        write_framed(
-            &mut wire,
-            "POST / HTTP/1.1\r\n",
-            &[],
-            &payload,
-            &ChunkPolicy::above(0).chunk_size(700),
-        )
-        .unwrap();
-        let body_at = wire.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
-        let wire = &wire[body_at..];
-
-        let limits = Limits::default();
-        let mut body = Vec::new();
-        let mut state = BodyState::start(BodyFraming::Chunked, &limits).unwrap();
-        let mut have = 0usize; // bytes "arrived" so far
-        let mut consumed = 0usize;
-        let mut scratch = [0u8; 128];
-        while !state.is_done() {
-            have = (have + 1).min(wire.len());
-            let mut cur = NonBlockCursor::new(&wire[consumed..have]);
-            loop {
-                let snap_pos = cur.pos();
-                let snap_state = state;
-                let (res, after) = {
-                    let mut rdr = BodyReader::resume(&mut cur, state, &limits);
-                    let res = rdr.read_some(&mut scratch);
-                    let after = rdr.state();
-                    (res, after)
-                };
-                match res {
-                    Ok(0) => {
-                        state = after;
-                        break;
-                    }
-                    Ok(n) => {
-                        state = after;
-                        body.extend_from_slice(&scratch[..n]);
-                    }
-                    Err(HttpError::Timeout(TimeoutKind::Read)) => {
-                        // Ran dry mid-token: roll back and wait for more.
-                        state = snap_state;
-                        cur.set_pos(snap_pos);
-                        break;
-                    }
-                    Err(e) => panic!("unexpected framing error: {e}"),
-                }
-            }
-            consumed += cur.pos();
-            assert!(have < wire.len() || state.is_done() || consumed <= have);
-        }
-        assert_eq!(body, payload);
-        assert_eq!(consumed, wire.len(), "decoder consumed the exact framing");
-    }
-
-    #[test]
-    fn nonblock_cursor_reports_wouldblock_not_eof() {
-        let mut cur = NonBlockCursor::new(b"ab");
-        let mut buf = [0u8; 8];
-        assert_eq!(std::io::Read::read(&mut cur, &mut buf).unwrap(), 2);
-        let err = std::io::Read::read(&mut cur, &mut buf).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-    }
-
-    #[test]
-    fn capped_line_read_rejects_newlineless_floods_incrementally() {
-        // A 1 MiB newline-less line against a 1 KiB cap: must error without
-        // buffering the megabyte (the peak gauge proves the bound held).
-        reset_peak_framing_buffer();
-        let flood = vec![b'a'; 1024 * 1024];
-        let mut r = BufReader::new(&flood[..]);
-        let res = read_line_capped(&mut r, 1024, "header");
-        assert!(matches!(
-            res,
-            Err(HttpError::TooLarge { what: "header", .. })
-        ));
-        assert!(
-            peak_framing_buffer() <= 1024 + 2 + 8192,
-            "buffered {} bytes against a 1 KiB cap",
-            peak_framing_buffer()
         );
     }
 }

@@ -13,6 +13,12 @@
 //! visualization payloads streaming through transient buffers bounded by
 //! the chunk size instead of the body size.
 //!
+//! All HTTP/1.1 wire handling lives in one I/O-free codec: a push
+//! [`Decoder`] that the reactor server, the blocking client and the bench
+//! load generators feed with whatever bytes arrive, and one encoder for
+//! heads and chunk frames that both the blocking and the non-blocking
+//! writers drive. Decoding is linear in the input however it is split.
+//!
 //! The server is event-driven: a single reactor thread multiplexes every
 //! connection over `epoll` readiness while handlers run on a small fixed
 //! CPU pool (see [`server`]), so thousands of idle keep-alive connections
@@ -29,21 +35,21 @@
 //! `GET /profile.json`; see [`ServerConfig::health`].
 
 pub mod body;
+mod codec;
 pub mod faults;
 pub mod message;
 mod metrics;
 pub mod server;
 
-pub use body::{
-    peak_framing_buffer, reset_peak_framing_buffer, BodyFraming, BodyReader, BodyState, ChunkPolicy,
-};
+pub use body::{peak_framing_buffer, reset_peak_framing_buffer, BodyFraming, ChunkPolicy};
+pub use codec::Decoder;
 pub use faults::{FaultAction, FaultSchedule};
 pub use message::{HttpError, Limits, Request, Response, TimeoutKind};
 pub use server::{Admission, AdmissionHook, HttpServer, ServerConfig, ServerHandle, ServerLoad};
 
 use message::DEFAULT_IO_TIMEOUT;
 use sbq_runtime::BufferPool;
-use std::io::BufReader;
+use std::io::{BufRead, BufReader, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -151,7 +157,8 @@ impl ClientConfig {
 /// A blocking HTTP/1.1 client holding one persistent connection.
 pub struct HttpClient {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// Request-head scratch, reused across calls.
+    head: Vec<u8>,
     host: String,
     limits: Limits,
     chunking: ChunkPolicy,
@@ -178,10 +185,9 @@ impl HttpClient {
         stream
             .set_write_timeout(config.write_timeout)
             .map_err(HttpError::Transport)?;
-        let writer = stream.try_clone().map_err(HttpError::Transport)?;
         Ok(HttpClient {
             reader: BufReader::new(stream),
-            writer,
+            head: Vec::with_capacity(256),
             host: addr.to_string(),
             limits: config.limits,
             chunking: config.chunking,
@@ -200,10 +206,42 @@ impl HttpClient {
         if !req.has_header("host") {
             req.headers.push(("Host".to_string(), self.host.clone()));
         }
-        req.write_to(&mut self.writer, &self.chunking)
+        let head = std::mem::take(&mut self.head);
+        self.head = codec::write_message(&mut self.reader.get_ref(), &req, &self.chunking, head)
             .map_err(|e| HttpError::from_io(e, TimeoutKind::Write))?;
         self.pool.put(std::mem::take(&mut req.body));
-        Response::read_from_pooled(&mut self.reader, &self.limits, &self.pool)
+        self.read_response()
+    }
+
+    /// Decodes one response. Bytes come through the read buffer, except
+    /// the rest of a `Content-Length` body: once the buffer is drained,
+    /// that is read straight into the pooled body (`BufReader` bypasses
+    /// its buffer for large reads).
+    fn read_response(&mut self) -> Result<Response, HttpError> {
+        let mut dec = Decoder::<Response>::new(self.limits);
+        loop {
+            let buf = self
+                .reader
+                .fill_buf()
+                .map_err(|e| HttpError::from_io(e, TimeoutKind::Read))?;
+            if buf.is_empty() {
+                return Err(dec.truncated());
+            }
+            let used = dec.feed(buf, &self.pool)?;
+            self.reader.consume(used);
+            if let Some(tail) = dec.length_tail(&self.pool) {
+                self.reader.read_exact(tail).map_err(|e| {
+                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                        HttpError::Protocol("body truncated by peer".into())
+                    } else {
+                        HttpError::from_io(e, TimeoutKind::Read)
+                    }
+                })?;
+            }
+            if let Some(resp) = dec.take() {
+                return Ok(resp);
+            }
+        }
     }
 
     /// The buffer pool this client recycles bodies through.
@@ -291,6 +329,37 @@ mod tests {
     }
 
     #[test]
+    fn large_responses_run_from_the_client_pool() {
+        // A response beyond the decoder's up-front body hint still lands
+        // in one pooled buffer of its full size: once warm, the client's
+        // pool stops missing.
+        let handle = HttpServer::bind("127.0.0.1:0".parse().unwrap(), |_req: &Request| {
+            Response::ok(PBIO_CONTENT_TYPE, vec![7; 3 << 20])
+        })
+        .unwrap();
+        let pool = BufferPool::new();
+        let config = ClientConfig::default().buffer_pool(pool.clone());
+        let mut client = HttpClient::connect_with(handle.addr(), &config).unwrap();
+        let mut call = || {
+            let resp = client.post("/big", PBIO_CONTENT_TYPE, vec![]).unwrap();
+            assert_eq!(resp.body.len(), 3 << 20);
+            pool.put(resp.body);
+        };
+        for _ in 0..3 {
+            call();
+        }
+        let warm = pool.stats().misses;
+        for _ in 0..5 {
+            call();
+        }
+        assert_eq!(
+            pool.stats().misses,
+            warm,
+            "steady-state responses missed the pool"
+        );
+    }
+
+    #[test]
     fn concurrent_clients_served() {
         let handle = HttpServer::bind("127.0.0.1:0".parse().unwrap(), |req: &Request| {
             Response::ok("text/plain", req.body.clone())
@@ -374,6 +443,35 @@ mod tests {
             let text = String::from_utf8_lossy(&buf);
             assert!(text.starts_with("HTTP/1.1 400"), "CL {bad:?} got: {text}");
         }
+    }
+
+    #[test]
+    fn client_rejects_malformed_response_field_names() {
+        let bad = [
+            "Content-Length : 3",
+            "Transfer-Encoding : chunked",
+            " Content-Length: 3",
+            ": v",
+            "Bad Name: v",
+        ];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            use std::io::{Read, Write};
+            for line in bad {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut req = [0u8; 1024];
+                let _ = s.read(&mut req).unwrap();
+                let reply = format!("HTTP/1.1 200 OK\r\nHost: x\r\n{line}\r\n\r\nabc");
+                s.write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        for line in bad {
+            let mut client = HttpClient::connect(addr).unwrap();
+            let err = client.post("/x", "text/plain", vec![]).unwrap_err();
+            assert!(matches!(err, HttpError::Protocol(_)), "{line:?}: {err}");
+        }
+        server.join().unwrap();
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! HTTP request/response types, serialization and parsing.
+//! HTTP request/response types and errors. Their wire form is read by
+//! [`crate::Decoder`] and written by the codec's encoder.
 
-use crate::body::{self, BodyReader, ChunkPolicy};
-use sbq_runtime::BufferPool;
-use std::io::{BufRead, Write};
+use crate::body::ChunkPolicy;
+use crate::codec;
+use std::io::Write;
 use std::time::Duration;
 
 /// Which deadline a [`HttpError::Timeout`] missed.
@@ -198,8 +199,9 @@ impl Request {
     /// [`Request::write_to`] on the transmit path — it streams the body
     /// from `self` without this second copy.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 256);
-        write_framed_request(&mut out, self, &ChunkPolicy::disabled()).expect("Vec write");
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out, &ChunkPolicy::disabled())
+            .expect("writing to a Vec cannot fail");
         out
     }
 
@@ -208,93 +210,15 @@ impl Request {
     /// bounded slices as `Transfer-Encoding: chunked` when `policy`
     /// applies to the body size.
     pub fn write_to(&self, w: &mut impl Write, policy: &ChunkPolicy) -> std::io::Result<()> {
-        write_framed_request(w, self, policy)
+        codec::write_message(w, self, policy, Vec::with_capacity(256)).map(drop)
     }
 
-    /// Total on-the-wire size — the HTTP overhead the benchmarks charge.
+    /// Total on-the-wire size under `Content-Length` framing — the HTTP
+    /// overhead the benchmarks charge. Computed without building the
+    /// message.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
+        codec::head_len(self) + self.body.len()
     }
-
-    /// Reads one request with default [`Limits`]. Returns `Ok(None)` on a
-    /// cleanly closed connection (keep-alive loop end).
-    pub fn read_from(r: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
-        Request::read_from_with(r, &Limits::default())
-    }
-
-    /// Reads one request from a buffered stream, enforcing `limits`.
-    /// Returns `Ok(None)` on a cleanly closed connection.
-    pub fn read_from_with(
-        r: &mut impl BufRead,
-        limits: &Limits,
-    ) -> Result<Option<Request>, HttpError> {
-        Request::read_from_inner(r, limits, None)
-    }
-
-    /// Like [`Request::read_from_with`], but the body lands in a buffer
-    /// taken from `pool` (zero allocations once the pool is warm).
-    pub fn read_from_pooled(
-        r: &mut impl BufRead,
-        limits: &Limits,
-        pool: &BufferPool,
-    ) -> Result<Option<Request>, HttpError> {
-        Request::read_from_inner(r, limits, Some(pool))
-    }
-
-    fn read_from_inner(
-        r: &mut impl BufRead,
-        limits: &Limits,
-        pool: Option<&BufferPool>,
-    ) -> Result<Option<Request>, HttpError> {
-        let Some(head) = read_request_head(r, limits)? else {
-            return Ok(None);
-        };
-        let body = read_body(r, &head.headers, limits, pool)?;
-        Ok(Some(Request {
-            method: head.method,
-            path: head.path,
-            headers: head.headers,
-            body,
-        }))
-    }
-}
-
-/// Request line plus header section — everything before the body. The
-/// event-driven server parses the head as soon as the blank line arrives
-/// and switches to incremental body decoding from there.
-#[derive(Debug)]
-pub(crate) struct RequestHead {
-    pub method: String,
-    pub path: String,
-    pub headers: Vec<(String, String)>,
-}
-
-/// Reads one request head (request line + headers through the blank
-/// line), enforcing `limits`. Returns `Ok(None)` on a cleanly closed
-/// connection before the first byte.
-pub(crate) fn read_request_head(
-    r: &mut impl BufRead,
-    limits: &Limits,
-) -> Result<Option<RequestHead>, HttpError> {
-    let Some(line) = read_line(r, limits)? else {
-        return Ok(None);
-    };
-    let mut parts = line.split_whitespace();
-    let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
-    else {
-        return Err(HttpError::Protocol(format!("bad request line: {line:?}")));
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(HttpError::Protocol(format!("bad version: {version:?}")));
-    }
-    let method = method.to_string();
-    let path = path.to_string();
-    let headers = read_headers(r, limits)?;
-    Ok(Some(RequestHead {
-        method,
-        path,
-        headers,
-    }))
 }
 
 /// An HTTP response.
@@ -365,8 +289,9 @@ impl Response {
     /// fault-injection write path, which needs the framed bytes to
     /// truncate them).
     pub fn to_wire_bytes(&self, policy: &ChunkPolicy) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.body.len() + 128);
-        write_framed_response(&mut out, self, policy).expect("Vec write");
+        let mut out = Vec::with_capacity(self.wire_len());
+        self.write_to(&mut out, policy)
+            .expect("writing to a Vec cannot fail");
         out
     }
 
@@ -375,131 +300,26 @@ impl Response {
     /// bounded slices as `Transfer-Encoding: chunked` when `policy`
     /// applies to the body size.
     pub fn write_to(&self, w: &mut impl Write, policy: &ChunkPolicy) -> std::io::Result<()> {
-        write_framed_response(w, self, policy)
+        codec::write_message(w, self, policy, Vec::with_capacity(256)).map(drop)
     }
 
-    /// Total on-the-wire size.
+    /// Total on-the-wire size under `Content-Length` framing, computed
+    /// without building the message.
     pub fn wire_len(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Reads one response with default [`Limits`].
-    pub fn read_from(r: &mut impl BufRead) -> Result<Response, HttpError> {
-        Response::read_from_with(r, &Limits::default())
-    }
-
-    /// Reads one response from a buffered stream, enforcing `limits`.
-    pub fn read_from_with(r: &mut impl BufRead, limits: &Limits) -> Result<Response, HttpError> {
-        Response::read_from_inner(r, limits, None)
-    }
-
-    /// Like [`Response::read_from_with`], but the body lands in a buffer
-    /// taken from `pool` (zero allocations once the pool is warm).
-    pub fn read_from_pooled(
-        r: &mut impl BufRead,
-        limits: &Limits,
-        pool: &BufferPool,
-    ) -> Result<Response, HttpError> {
-        Response::read_from_inner(r, limits, Some(pool))
-    }
-
-    fn read_from_inner(
-        r: &mut impl BufRead,
-        limits: &Limits,
-        pool: Option<&BufferPool>,
-    ) -> Result<Response, HttpError> {
-        let line = read_line(r, limits)?
-            .ok_or_else(|| HttpError::Protocol("connection closed before response".into()))?;
-        let mut parts = line.splitn(3, ' ');
-        let _version = parts.next().unwrap_or_default();
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| HttpError::Protocol(format!("bad status line: {line:?}")))?;
-        let reason = parts.next().unwrap_or("").to_string();
-        let headers = read_headers(r, limits)?;
-        let body = read_body(r, &headers, limits, pool)?;
-        Ok(Response {
-            status,
-            reason,
-            headers,
-            body,
-        })
-    }
-}
-
-fn write_framed_request(
-    w: &mut impl Write,
-    req: &Request,
-    policy: &ChunkPolicy,
-) -> std::io::Result<()> {
-    let start = format!("{} {} HTTP/1.1\r\n", req.method, req.path);
-    body::write_framed(w, &start, &req.headers, &req.body, policy)
-}
-
-fn write_framed_response(
-    w: &mut impl Write,
-    resp: &Response,
-    policy: &ChunkPolicy,
-) -> std::io::Result<()> {
-    let start = format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason);
-    body::write_framed(w, &start, &resp.headers, &resp.body, policy)
-}
-
-fn read_line(r: &mut impl BufRead, limits: &Limits) -> Result<Option<String>, HttpError> {
-    body::read_line_capped(r, limits.max_header_bytes, "header")
-}
-
-fn read_headers(r: &mut impl BufRead, limits: &Limits) -> Result<Vec<(String, String)>, HttpError> {
-    let mut headers = Vec::new();
-    let mut total = 0usize;
-    loop {
-        let line =
-            read_line(r, limits)?.ok_or_else(|| HttpError::Protocol("eof in headers".into()))?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        total += line.len();
-        if total > limits.max_header_bytes {
-            return Err(HttpError::TooLarge {
-                what: "header",
-                limit: limits.max_header_bytes,
-            });
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::Protocol(format!("bad header: {line:?}")))?;
-        headers.push((name.trim().to_string(), value.trim().to_string()));
-    }
-}
-
-fn read_body(
-    r: &mut impl BufRead,
-    headers: &[(String, String)],
-    limits: &Limits,
-    pool: Option<&BufferPool>,
-) -> Result<Vec<u8>, HttpError> {
-    // Strict framing resolution: malformed/conflicting declarations are
-    // protocol errors (and close the connection), never "empty body" — a
-    // silently skipped body would be parsed as the next pipelined message.
-    let framing = body::parse_framing(headers)?;
-    let reader = BodyReader::new(r, framing, limits)?;
-    match pool {
-        Some(pool) => reader.read_to_pooled(pool),
-        None => reader.read_to_vec(),
+        codec::head_len(self) + self.body.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
+    use crate::codec::tests::decode;
 
     #[test]
     fn request_round_trips() {
         let req = Request::post("/svc", "text/xml", b"<x/>".to_vec());
         let bytes = req.to_bytes();
-        let parsed = Request::read_from(&mut BufReader::new(&bytes[..]))
+        let parsed = decode::<Request>(&bytes, &Limits::default())
             .unwrap()
             .unwrap();
         assert_eq!(parsed.method, "POST");
@@ -513,7 +333,9 @@ mod tests {
     fn response_round_trips() {
         let resp = Response::ok("application/pbio", vec![1, 2, 3]);
         let bytes = resp.to_bytes();
-        let parsed = Response::read_from(&mut BufReader::new(&bytes[..])).unwrap();
+        let parsed = decode::<Response>(&bytes, &Limits::default())
+            .unwrap()
+            .unwrap();
         assert_eq!(parsed.status, 200);
         assert_eq!(parsed.reason, "OK");
         assert_eq!(parsed.body, vec![1, 2, 3]);
@@ -521,8 +343,7 @@ mod tests {
 
     #[test]
     fn eof_before_request_is_clean_close() {
-        let empty: &[u8] = b"";
-        assert!(Request::read_from(&mut BufReader::new(empty))
+        assert!(decode::<Request>(b"", &Limits::default())
             .unwrap()
             .is_none());
     }
@@ -534,8 +355,16 @@ mod tests {
             "POST /x HTTP/1.1\r\nno-colon-header\r\n\r\n",
             "POST /x\r\n\r\n",
             "POST /x FTP/1.0\r\n\r\n",
+            // Field names must be tokens ending at the colon: whitespace
+            // before it, obs-fold continuations, empty and spaced names
+            // are rejected, never trimmed into a framing header.
+            "POST /x HTTP/1.1\r\nContent-Length : 3\r\n\r\nabc",
+            "POST /x HTTP/1.1\r\nTransfer-Encoding : chunked\r\n\r\n0\r\n\r\n",
+            "POST /x HTTP/1.1\r\nHost: x\r\n Content-Length: 3\r\n\r\nabc",
+            "POST /x HTTP/1.1\r\n: v\r\n\r\n",
+            "POST /x HTTP/1.1\r\nBad Name: v\r\n\r\n",
         ] {
-            let res = Request::read_from(&mut BufReader::new(bad.as_bytes()));
+            let res = decode::<Request>(bad.as_bytes(), &Limits::default());
             assert!(
                 matches!(res, Err(HttpError::Protocol(_))),
                 "{bad:?} should be rejected"
@@ -547,7 +376,7 @@ mod tests {
     fn oversized_headers_rejected() {
         let huge = format!("POST /x HTTP/1.1\r\nX-Big: {}\r\n\r\n", "a".repeat(20_000));
         assert!(matches!(
-            Request::read_from(&mut BufReader::new(huge.as_bytes())),
+            decode::<Request>(huge.as_bytes(), &Limits::default()),
             Err(HttpError::TooLarge { what: "header", .. })
         ));
     }
@@ -562,7 +391,7 @@ mod tests {
         // not by trying to read 1 MB.
         let doc = "POST /x HTTP/1.1\r\nContent-Length: 1000000\r\n\r\n";
         assert!(matches!(
-            Request::read_from_with(&mut BufReader::new(doc.as_bytes()), &limits),
+            decode::<Request>(doc.as_bytes(), &limits),
             Err(HttpError::TooLarge {
                 what: "body",
                 limit: 64
@@ -578,7 +407,7 @@ mod tests {
         };
         let doc = format!("POST /x HTTP/1.1\r\nX: {}\r\n\r\n", "b".repeat(100));
         assert!(matches!(
-            Request::read_from_with(&mut BufReader::new(doc.as_bytes()), &limits),
+            decode::<Request>(doc.as_bytes(), &limits),
             Err(HttpError::TooLarge { what: "header", .. })
         ));
     }
@@ -614,9 +443,20 @@ mod tests {
     }
 
     #[test]
+    fn wire_len_matches_the_encoded_message() {
+        for n in [0, 3, 3 << 20] {
+            let req = Request::post("/svc", "text/xml", vec![7; n]);
+            assert_eq!(req.wire_len(), req.to_bytes().len(), "request body {n}");
+            let mut resp = Response::with_status(404, "Not Found", "text/plain", vec![9; n]);
+            resp.headers.push(("X-Request-Id".into(), "12".into()));
+            assert_eq!(resp.wire_len(), resp.to_bytes().len(), "response body {n}");
+        }
+    }
+
+    #[test]
     fn get_has_no_body() {
         let req = Request::get("/wsdl");
-        let parsed = Request::read_from(&mut BufReader::new(&req.to_bytes()[..]))
+        let parsed = decode::<Request>(&req.to_bytes(), &Limits::default())
             .unwrap()
             .unwrap();
         assert_eq!(parsed.method, "GET");

@@ -2,8 +2,8 @@
 //!
 //! One reactor thread owns *readiness*: every connection is a
 //! non-blocking socket registered with an epoll [`Reactor`], driven
-//! through an explicit state machine (`Idle → ReadHead → ReadBody →
-//! InHandler → Write → Idle`) by readiness events, with read/write/
+//! through an explicit state machine (`Idle → Read → InHandler → Write →
+//! Idle`) by readiness events, with read/write/
 //! keep-alive deadlines on a [`DeadlineWheel`]. A small fixed [`CpuPool`]
 //! owns *computation*: parsed requests are dispatched to it, the handler
 //! (and any marshalling it does) runs there, and the completed response
@@ -15,12 +15,10 @@
 //! idle — while CPU-bound work stays bounded by the pool size instead of
 //! the connection count.
 
-use crate::body::{parse_framing, BodyReader, BodyState, ChunkPolicy, NonBlockCursor};
+use crate::body::ChunkPolicy;
+use crate::codec::{Decoder, Encoder};
 use crate::faults::{FaultAction, FaultSchedule};
-use crate::message::{
-    read_request_head, HttpError, Limits, Request, RequestHead, Response, TimeoutKind,
-    DEFAULT_IO_TIMEOUT,
-};
+use crate::message::{HttpError, Limits, Request, Response, TimeoutKind, DEFAULT_IO_TIMEOUT};
 use crate::metrics::HttpMetrics;
 use sbq_runtime::reactor::{Event, Interest, Token};
 use sbq_runtime::{BufferPool, CpuPool, DeadlineWheel, Reactor};
@@ -366,7 +364,6 @@ impl HttpServer {
             done_tx,
             done_rx,
             connections: Arc::clone(&connections),
-            scratch: vec![0u8; 64 * 1024],
             inflight_jobs: 0,
             open_conns: 0,
             io_ops: 0,
@@ -411,15 +408,8 @@ struct Ctx {
 enum ConnState {
     /// Parked between keep-alive requests, buffers released.
     Idle,
-    /// Accumulating request-line + headers into `inbuf`.
-    ReadHead,
-    /// Head parsed; streaming the body out of `inbuf` as it arrives.
-    ReadBody {
-        head: RequestHead,
-        chunked: bool,
-        bstate: BodyState,
-        body: Vec<u8>,
-    },
+    /// Decoding a request out of `inbuf` as its bytes arrive.
+    Read(Decoder<Request>),
     /// Dispatched to the CPU pool; waiting for the completion message.
     InHandler,
     /// Writing the response as the socket accepts it.
@@ -439,8 +429,6 @@ struct Conn {
     /// speed: the pool's steady state stays balanced without relying on
     /// the event loop's post-write `put` racing the client's next `get`.
     outbuf: Vec<u8>,
-    /// Scan hint into `inbuf` for the head-end search.
-    scan: usize,
     /// First byte of the current request, for the read histogram/span.
     read_start: Option<Instant>,
     /// Generation for lazy deadline cancellation on the wheel.
@@ -452,13 +440,11 @@ struct Conn {
     dead: bool,
 }
 
-/// A response mid-write: head bytes, then the body either plain or framed
-/// into chunks on the fly (so no second body-sized buffer ever exists).
+/// A response mid-write: the encoder walks its head and body (plain or
+/// chunked) as the socket accepts bytes.
 struct WriteJob {
-    head: Vec<u8>,
-    head_pos: usize,
+    enc: Encoder,
     body: Vec<u8>,
-    bw: BodyWrite,
     keep: bool,
     /// Held open until the last byte is written, so the request span
     /// covers the write phase like the old blocking server's did.
@@ -467,107 +453,15 @@ struct WriteJob {
     started: Instant,
 }
 
-enum BodyWrite {
-    Plain {
-        pos: usize,
-    },
-    Chunked {
-        pos: usize,
-        chunk_rem: usize,
-        frame: Vec<u8>,
-        frame_pos: usize,
-        first: bool,
-        done: bool,
-        chunk_size: usize,
-    },
-}
-
 impl WriteJob {
-    /// The next contiguous byte range to write, or `None` when complete.
-    /// Chunk frames are synthesized lazily; each frame after the first
-    /// leads with the previous chunk's terminating CRLF.
-    fn next_slice(&mut self) -> Option<&[u8]> {
-        if self.head_pos < self.head.len() {
-            return Some(&self.head[self.head_pos..]);
-        }
-        if let BodyWrite::Chunked {
-            pos,
-            chunk_rem,
-            frame,
-            frame_pos,
-            first,
-            done,
-            chunk_size,
-        } = &mut self.bw
-        {
-            if *frame_pos >= frame.len() && *chunk_rem == 0 && !*done {
-                let lead = if *first { "" } else { "\r\n" };
-                let n = (self.body.len() - *pos).min((*chunk_size).max(1));
-                *frame_pos = 0;
-                if n == 0 {
-                    *frame = format!("{lead}0\r\n\r\n").into_bytes();
-                    *done = true;
-                } else {
-                    *frame = format!("{lead}{n:x}\r\n").into_bytes();
-                    *chunk_rem = n;
-                    *first = false;
-                }
-            }
-        }
-        match &self.bw {
-            BodyWrite::Plain { pos } => {
-                if *pos < self.body.len() {
-                    Some(&self.body[*pos..])
-                } else {
-                    None
-                }
-            }
-            BodyWrite::Chunked {
-                pos,
-                chunk_rem,
-                frame,
-                frame_pos,
-                ..
-            } => {
-                if *frame_pos < frame.len() {
-                    Some(&frame[*frame_pos..])
-                } else if *chunk_rem > 0 {
-                    Some(&self.body[*pos..*pos + *chunk_rem])
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Records `w` bytes written from the slice `next_slice` returned
-    /// (always within a single segment).
-    fn advance(&mut self, mut w: usize) {
-        if self.head_pos < self.head.len() {
-            let take = w.min(self.head.len() - self.head_pos);
-            self.head_pos += take;
-            w -= take;
-            if w == 0 {
-                return;
-            }
-        }
-        match &mut self.bw {
-            BodyWrite::Plain { pos } => *pos += w,
-            BodyWrite::Chunked {
-                pos,
-                chunk_rem,
-                frame,
-                frame_pos,
-                ..
-            } => {
-                if *frame_pos < frame.len() {
-                    let take = w.min(frame.len() - *frame_pos);
-                    *frame_pos += take;
-                    w -= take;
-                }
-                *pos += w;
-                *chunk_rem -= w;
-            }
+    fn new(enc: Encoder, body: Vec<u8>, keep: bool) -> WriteJob {
+        WriteJob {
+            enc,
+            body,
+            keep,
+            req_span: None,
+            sctx: None,
+            started: Instant::now(),
         }
     }
 }
@@ -607,23 +501,6 @@ fn token_slot(t: Token) -> usize {
     (t.0 & 0xffff_ffff) as usize
 }
 
-/// Index one past the blank line ending the head, if present.
-fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
-    let mut i = from.saturating_sub(3);
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            if buf[i + 1..].starts_with(b"\r\n") {
-                return Some(i + 3);
-            }
-            if buf.get(i + 1) == Some(&b'\n') {
-                return Some(i + 2);
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
 /// Fault-schedule `EINTR` injection: every `period`-th shaped I/O op
 /// fails with a simulated interrupt (never two in a row, so period 1
 /// cannot live-lock the retry loops it exists to exercise).
@@ -657,7 +534,7 @@ enum Act {
     Wait,
     Close,
     Fail(HttpError),
-    Dispatch,
+    Dispatch(Request, bool),
 }
 
 struct EventLoop {
@@ -672,7 +549,6 @@ struct EventLoop {
     done_tx: Sender<Completion>,
     done_rx: Receiver<Completion>,
     connections: Arc<AtomicU64>,
-    scratch: Vec<u8>,
     inflight_jobs: usize,
     open_conns: usize,
     io_ops: u64,
@@ -743,7 +619,7 @@ impl EventLoop {
             .enumerate()
             .filter_map(|(i, c)| {
                 c.as_ref().and_then(|c| match c.state {
-                    ConnState::Idle | ConnState::ReadHead | ConnState::ReadBody { .. } => Some(i),
+                    ConnState::Idle | ConnState::Read(_) => Some(i),
                     _ => None,
                 })
             })
@@ -799,11 +675,10 @@ impl EventLoop {
         self.conns[slot] = Some(Conn {
             stream,
             token,
-            state: ConnState::ReadHead, // placeholder; enter_idle parks it
+            state: ConnState::Idle,
             interest: Interest::READABLE,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
-            scan: 0,
             read_start: None,
             timer_gen: 0,
             idle: false,
@@ -835,9 +710,9 @@ impl EventLoop {
         pool.put(conn.inbuf);
         pool.put(conn.outbuf);
         match conn.state {
-            ConnState::ReadBody { body, .. } => pool.put(body),
+            ConnState::Read(dec) => pool.put(dec.into_body()),
             ConnState::Write(job) => {
-                pool.put(job.head);
+                pool.put(job.enc.into_head());
                 pool.put(job.body);
             }
             _ => {}
@@ -856,7 +731,6 @@ impl EventLoop {
         };
         self.ctx.config.pool.put(std::mem::take(&mut conn.inbuf));
         self.ctx.config.pool.put(std::mem::take(&mut conn.outbuf));
-        conn.scan = 0;
         conn.state = ConnState::Idle;
         conn.read_start = None;
         if !conn.idle {
@@ -895,7 +769,7 @@ impl EventLoop {
                     self.drive_write(slot);
                 }
             }
-            ConnState::Idle | ConnState::ReadHead | ConnState::ReadBody { .. } => {
+            ConnState::Idle | ConnState::Read(_) => {
                 if ev.error {
                     self.close_conn(slot);
                 } else if ev.readable || ev.rdhup {
@@ -936,9 +810,7 @@ impl EventLoop {
         self.ctx.metrics.reactor_timeouts.inc();
         match conn.state {
             ConnState::Idle => self.close_conn(slot),
-            ConnState::ReadHead | ConnState::ReadBody { .. } => {
-                self.fail(slot, HttpError::Timeout(TimeoutKind::Read))
-            }
+            ConnState::Read(_) => self.fail(slot, HttpError::Timeout(TimeoutKind::Read)),
             ConnState::Write(_) => self.close_conn(slot),
             ConnState::InHandler => {} // no deadline while in a handler
         }
@@ -948,10 +820,9 @@ impl EventLoop {
     /// advances the parse state machine over the buffered bytes.
     ///
     /// Reads land in `inbuf`'s spare capacity only — when it fills, the
-    /// bytes are parsed out (which drains them) rather than the buffer
-    /// grown, so a steady-state connection keeps one pool-classed buffer
-    /// for its whole life. Growth happens only when the parser cannot
-    /// consume anything, i.e. a request head larger than one buffer.
+    /// decoder consumes the bytes (which drains them) rather than the
+    /// buffer growing, so a connection keeps one pool-classed buffer for
+    /// its whole life.
     fn drive_read(&mut self, slot: usize) {
         let read_cap = self
             .ctx
@@ -1029,41 +900,28 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            if !matches!(
-                conn.state,
-                ConnState::Idle | ConnState::ReadHead | ConnState::ReadBody { .. }
-            ) {
+            if !matches!(conn.state, ConnState::Idle | ConnState::Read(_)) {
                 break; // dispatched (or writing an error): stop reading
             }
-            match stop {
-                Stop::WouldBlock | Stop::Budget => break,
-                Stop::Full => {
-                    if conn.inbuf.len() == conn.inbuf.capacity() {
-                        // Parsing freed nothing (a head spanning more
-                        // than one buffer): grow and keep reading. The
-                        // incremental header cap bounds this.
-                        conn.inbuf.reserve(READ_CHUNK);
-                    }
-                }
-                Stop::Broken => unreachable!(),
+            if !matches!(stop, Stop::Full) {
+                break;
             }
         }
         // Fresh bytes arrived: push the read deadline out.
         if total > 0 {
             let read_to = self.ctx.config.read_timeout;
             if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-                if matches!(conn.state, ConnState::ReadHead | ConnState::ReadBody { .. }) {
+                if matches!(conn.state, ConnState::Read(_)) {
                     arm_deadline(&mut self.wheel, conn, read_to);
                 }
             }
         }
     }
 
-    /// Advances Idle/ReadHead/ReadBody over the bytes buffered in
-    /// `inbuf`. `eof` means the peer will send nothing further.
+    /// Advances Idle/Read over the bytes buffered in `inbuf`. `eof` means
+    /// the peer will send nothing further.
     fn process_input(&mut self, slot: usize, eof: bool) {
         let ctx = Arc::clone(&self.ctx);
-        let limits = ctx.config.limits;
         let act = loop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return;
@@ -1080,119 +938,22 @@ impl EventLoop {
                         conn.idle = false;
                         ctx.metrics.idle.dec();
                     }
-                    conn.state = ConnState::ReadHead;
+                    conn.state = ConnState::Read(Decoder::new(ctx.config.limits));
                     conn.read_start = Some(Instant::now());
                     arm_deadline(&mut self.wheel, conn, ctx.config.read_timeout);
                 }
-                ConnState::ReadHead => {
-                    match find_head_end(&conn.inbuf, conn.scan) {
-                        Some(hend) => {
-                            conn.scan = 0;
-                            let head = {
-                                let mut cur = NonBlockCursor::new(&conn.inbuf[..hend]);
-                                read_request_head(&mut cur, &limits)
-                            };
-                            match head {
-                                Ok(Some(head)) => {
-                                    conn.inbuf.drain(..hend);
-                                    match parse_framing(&head.headers)
-                                        .and_then(|f| BodyState::start(f, &limits).map(|s| (f, s)))
-                                    {
-                                        Ok((framing, bstate)) => {
-                                            let chunked = matches!(
-                                                framing,
-                                                crate::body::BodyFraming::Chunked
-                                            );
-                                            let hint = match framing {
-                                                crate::body::BodyFraming::Length(n) => {
-                                                    (n as usize).clamp(1, 1024 * 1024)
-                                                }
-                                                crate::body::BodyFraming::Chunked => READ_CHUNK,
-                                            };
-                                            let mut body = ctx.config.pool.get(hint);
-                                            body.clear();
-                                            conn.state = ConnState::ReadBody {
-                                                head,
-                                                chunked,
-                                                bstate,
-                                                body,
-                                            };
-                                        }
-                                        Err(e) => break Act::Fail(e),
-                                    }
-                                }
-                                Ok(None) => break Act::Close, // unreachable: head is complete
-                                Err(e) => break Act::Fail(e),
-                            }
-                        }
-                        None => {
-                            // Incremental cap: reject a floods-without-
-                            // blank-line head before buffering past it.
-                            if conn.inbuf.len() > limits.max_header_bytes + 4 {
-                                break Act::Fail(HttpError::TooLarge {
-                                    what: "header",
-                                    limit: limits.max_header_bytes,
-                                });
-                            }
-                            if eof {
-                                if conn.inbuf.is_empty() {
-                                    break Act::Close;
-                                }
-                                break Act::Fail(HttpError::Protocol(
-                                    "connection closed mid request head".into(),
-                                ));
-                            }
-                            conn.scan = conn.inbuf.len();
-                            break Act::Wait;
-                        }
-                    }
-                }
-                ConnState::ReadBody { bstate, body, .. } => {
-                    let mut complete = bstate.is_done();
-                    let mut fail: Option<HttpError> = None;
-                    let consumed = {
-                        let mut cur = NonBlockCursor::new(&conn.inbuf);
-                        while !complete {
-                            let snap_pos = cur.pos();
-                            let snap_state = *bstate;
-                            let (res, after) = {
-                                let mut rdr = BodyReader::resume(&mut cur, *bstate, &limits);
-                                let res = rdr.read_some(&mut self.scratch);
-                                (res, rdr.state())
-                            };
-                            match res {
-                                Ok(0) => {
-                                    *bstate = after;
-                                    complete = true;
-                                }
-                                Ok(n) => {
-                                    *bstate = after;
-                                    body.extend_from_slice(&self.scratch[..n]);
-                                }
-                                Err(HttpError::Timeout(TimeoutKind::Read)) => {
-                                    // Ran dry mid-token: roll back to the
-                                    // last clean boundary and wait.
-                                    *bstate = snap_state;
-                                    cur.set_pos(snap_pos);
-                                    break;
-                                }
-                                Err(e) => {
-                                    fail = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        cur.pos()
+                ConnState::Read(dec) => {
+                    let used = match dec.feed(&conn.inbuf, &ctx.config.pool) {
+                        Ok(used) => used,
+                        Err(e) => break Act::Fail(e),
                     };
-                    conn.inbuf.drain(..consumed);
-                    if let Some(e) = fail {
-                        break Act::Fail(e);
-                    }
-                    if complete {
-                        break Act::Dispatch;
+                    conn.inbuf.drain(..used);
+                    let chunked = dec.is_chunked();
+                    if let Some(req) = dec.take() {
+                        break Act::Dispatch(req, chunked);
                     }
                     if eof {
-                        break Act::Fail(HttpError::Protocol("body truncated by peer".into()));
+                        break Act::Fail(dec.truncated());
                     }
                     break Act::Wait;
                 }
@@ -1203,26 +964,18 @@ impl EventLoop {
             Act::Wait => {}
             Act::Close => self.close_conn(slot),
             Act::Fail(e) => self.fail(slot, e),
-            Act::Dispatch => self.dispatch(slot),
+            Act::Dispatch(req, chunked) => self.dispatch(slot, req, chunked),
         }
     }
 
     /// Hands a fully parsed request to the CPU pool and parks the
     /// connection in `InHandler`.
-    fn dispatch(&mut self, slot: usize) {
+    fn dispatch(&mut self, slot: usize, req: Request, chunked: bool) {
         let ctx = Arc::clone(&self.ctx);
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        let ConnState::ReadBody {
-            head,
-            chunked,
-            body,
-            ..
-        } = std::mem::replace(&mut conn.state, ConnState::InHandler)
-        else {
-            return;
-        };
+        conn.state = ConnState::InHandler;
         conn.timer_gen += 1; // cancel the read deadline
         let token = conn.token;
         let read_start = conn.read_start.take().unwrap_or_else(Instant::now);
@@ -1234,12 +987,6 @@ impl EventLoop {
             // that turns around instantly reuses that exact buffer.
             conn.outbuf = self.ctx.config.pool.get(256);
         }
-        let req = Request {
-            method: head.method,
-            path: head.path,
-            headers: head.headers,
-            body,
-        };
         if chunked {
             ctx.metrics.chunked_rx.inc();
         }
@@ -1286,20 +1033,9 @@ impl EventLoop {
                         .as_mut()
                         .map(|conn| std::mem::take(&mut conn.outbuf))
                         .unwrap_or_default();
-                    let head = build_head(&ctx.config.pool, outbuf, &resp, false);
-                    self.queue_write(
-                        slot,
-                        WriteJob {
-                            head,
-                            head_pos: 0,
-                            body: std::mem::take(&mut resp.body),
-                            bw: BodyWrite::Plain { pos: 0 },
-                            keep,
-                            req_span: None,
-                            sctx: None,
-                            started: Instant::now(),
-                        },
-                    );
+                    let enc = Encoder::new(&resp, &ChunkPolicy::disabled(), outbuf);
+                    let body = std::mem::take(&mut resp.body);
+                    self.queue_write(slot, WriteJob::new(enc, body, keep));
                     return;
                 }
             }
@@ -1373,59 +1109,26 @@ impl EventLoop {
                     _ => bytes.len() / 2,
                 };
                 bytes.truncate(n);
-                self.queue_write(
-                    c.slot,
-                    WriteJob {
-                        head: bytes,
-                        head_pos: 0,
-                        body: Vec::new(),
-                        bw: BodyWrite::Plain { pos: 0 },
-                        keep: false,
-                        req_span: c.req_span,
-                        sctx: c.sctx,
-                        started: Instant::now(),
-                    },
-                );
+                let mut job = WriteJob::new(Encoder::raw(bytes), Vec::new(), false);
+                job.req_span = c.req_span;
+                job.sctx = c.sctx;
+                self.queue_write(c.slot, job);
             }
             // Delays were applied in the job; anything else writes intact.
             _ => {
-                let chunked = policy.applies_to(c.resp.body.len());
-                if chunked {
-                    self.ctx.metrics.chunked_tx.inc();
-                }
-                let chunk_size = policy.chunk_bytes();
                 let outbuf = self.conns[c.slot]
                     .as_mut()
                     .map(|conn| std::mem::take(&mut conn.outbuf))
                     .unwrap_or_default();
-                let head = build_head(&self.ctx.config.pool, outbuf, &c.resp, chunked);
+                let enc = Encoder::new(&c.resp, policy, outbuf);
+                if enc.is_chunked() {
+                    self.ctx.metrics.chunked_tx.inc();
+                }
                 let body = std::mem::take(&mut c.resp.body);
-                let bw = if chunked {
-                    BodyWrite::Chunked {
-                        pos: 0,
-                        chunk_rem: 0,
-                        frame: Vec::new(),
-                        frame_pos: 0,
-                        first: true,
-                        done: false,
-                        chunk_size,
-                    }
-                } else {
-                    BodyWrite::Plain { pos: 0 }
-                };
-                self.queue_write(
-                    c.slot,
-                    WriteJob {
-                        head,
-                        head_pos: 0,
-                        body,
-                        bw,
-                        keep: !(c.close || self.stopping),
-                        req_span: c.req_span,
-                        sctx: c.sctx,
-                        started: Instant::now(),
-                    },
-                );
+                let mut job = WriteJob::new(enc, body, !(c.close || self.stopping));
+                job.req_span = c.req_span;
+                job.sctx = c.sctx;
+                self.queue_write(c.slot, job);
             }
         }
     }
@@ -1458,16 +1161,7 @@ impl EventLoop {
             .push(("Connection".to_string(), "close".to_string()));
         self.queue_write(
             slot,
-            WriteJob {
-                head: resp.to_bytes(),
-                head_pos: 0,
-                body: Vec::new(),
-                bw: BodyWrite::Plain { pos: 0 },
-                keep: false,
-                req_span: None,
-                sctx: None,
-                started: Instant::now(),
-            },
+            WriteJob::new(Encoder::raw(resp.to_bytes()), Vec::new(), false),
         );
     }
 
@@ -1479,10 +1173,9 @@ impl EventLoop {
             let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
                 return;
             };
-            if let ConnState::ReadBody { body, .. } =
-                std::mem::replace(&mut conn.state, ConnState::Write(job))
+            if let ConnState::Read(dec) = std::mem::replace(&mut conn.state, ConnState::Write(job))
             {
-                self.ctx.config.pool.put(body);
+                self.ctx.config.pool.put(dec.into_body());
             }
             conn.read_start = None;
             arm_deadline(&mut self.wheel, conn, write_to);
@@ -1504,7 +1197,7 @@ impl EventLoop {
                 return;
             };
             loop {
-                let Some(slice) = job.next_slice() else {
+                let Some(slice) = job.enc.next(&job.body) else {
                     finished = true;
                     break;
                 };
@@ -1528,7 +1221,7 @@ impl EventLoop {
                         break;
                     }
                 };
-                job.advance(w);
+                job.enc.advance(w);
                 progressed = true;
             }
             if !finished && !broken {
@@ -1569,7 +1262,7 @@ impl EventLoop {
             // pool: the body put below is the only post-write pool
             // traffic, and nothing else consumes its class before the
             // event loop itself does.
-            let mut head = job.head;
+            let mut head = job.enc.into_head();
             head.clear();
             conn.outbuf = head;
             self.ctx.config.pool.put(job.body);
@@ -1697,34 +1390,6 @@ fn run_request_job(
         fault,
     });
     reactor.wake();
-}
-
-/// Serializes a response head (status line + headers + blank line) into
-/// the connection's head scratch (pooled on first use), swapping declared
-/// framing headers for `Transfer-Encoding: chunked` when chunking applies
-/// — the same wire shape `body::write_framed` produces.
-fn build_head(pool: &BufferPool, buf: Vec<u8>, resp: &Response, chunked: bool) -> Vec<u8> {
-    let mut head = if buf.capacity() == 0 {
-        pool.get(256)
-    } else {
-        buf
-    };
-    head.clear();
-    head.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason).as_bytes());
-    for (k, v) in &resp.headers {
-        if chunked
-            && (k.eq_ignore_ascii_case("content-length")
-                || k.eq_ignore_ascii_case("transfer-encoding"))
-        {
-            continue;
-        }
-        head.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-    }
-    if chunked {
-        head.extend_from_slice(b"Transfer-Encoding: chunked\r\n");
-    }
-    head.extend_from_slice(b"\r\n");
-    head
 }
 
 /// The request id echoed on every response: the client-supplied
@@ -2454,11 +2119,48 @@ mod tests {
         wire.extend_from_slice(&Request::post("/1", "text/plain", b"one".to_vec()).to_bytes());
         wire.extend_from_slice(&Request::post("/2", "text/plain", b"two".to_vec()).to_bytes());
         s.write_all(&wire).unwrap();
-        let mut r = std::io::BufReader::new(s.try_clone().unwrap());
-        let a = Response::read_from(&mut r).unwrap();
-        let b = Response::read_from(&mut r).unwrap();
-        assert_eq!(a.body, b"one");
-        assert_eq!(b.body, b"two");
+        // Both responses may arrive in one read: the decoder stops at the
+        // end of the first and picks the second up from the leftover.
+        let pool = BufferPool::new();
+        let mut dec = Decoder::<Response>::new(Limits::default());
+        let mut bodies = Vec::new();
+        let mut buf = [0u8; 4096];
+        while bodies.len() < 2 {
+            let n = s.read(&mut buf).unwrap();
+            assert!(n > 0, "server closed before both responses");
+            let mut at = 0;
+            while at < n {
+                at += dec.feed(&buf[at..n], &pool).unwrap();
+                bodies.extend(dec.take().map(|r| r.body));
+            }
+        }
+        assert_eq!(bodies, [b"one", b"two"]);
+    }
+
+    #[test]
+    fn malformed_field_names_get_400() {
+        let handle = echo_server(ServerConfig::default());
+        for bad in [
+            "Content-Length : 3",
+            "Transfer-Encoding : chunked",
+            " Content-Length: 3",
+            ": v",
+            "Bad Name: v",
+        ] {
+            let mut s = TcpStream::connect(handle.addr()).unwrap();
+            s.write_all(format!("POST /x HTTP/1.1\r\nHost: x\r\n{bad}\r\n\r\nabc").as_bytes())
+                .unwrap();
+            let mut buf = Vec::new();
+            s.read_to_end(&mut buf).unwrap();
+            let text = String::from_utf8_lossy(&buf);
+            assert!(text.starts_with("HTTP/1.1 400"), "{bad:?} got: {text}");
+        }
+        // The server stays healthy.
+        let mut c = HttpClient::connect(handle.addr()).unwrap();
+        assert_eq!(
+            c.post("/x", "text/plain", b"ok".to_vec()).unwrap().body,
+            b"ok"
+        );
     }
 
     #[test]

@@ -457,6 +457,39 @@ fn bad_content_length_cannot_desync_a_pipelined_connection() {
 }
 
 #[test]
+fn spaced_content_length_name_cannot_desync_a_pipelined_connection() {
+    // `Content-Length : 5` is not a Content-Length header (RFC 7230
+    // §3.2.4). A parser that trimmed the name would frame a five-byte body
+    // and answer the pipelined GET as a second request; the server must
+    // answer exactly one 400 and close.
+    use std::io::{Read, Write};
+
+    let svc = echo_service();
+    let server = SoapServerBuilder::new(&svc, WireEncoding::Pbio)
+        .unwrap()
+        .handle("echo", |v| v)
+        .bind("127.0.0.1:0".parse().unwrap())
+        .unwrap();
+
+    let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
+    raw.write_all(
+        b"POST /Echo HTTP/1.1\r\nHost: x\r\nContent-Length : 5\r\n\r\nhello\
+          GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
+    )
+    .unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).ok();
+
+    assert!(reply.starts_with("HTTP/1.1 400"), "{reply:?}");
+    assert_eq!(
+        reply.matches("HTTP/1.1").count(),
+        1,
+        "the pipelined bytes must not be parsed as a second request: {reply:?}"
+    );
+}
+
+#[test]
 fn chunked_round_trip_through_the_soap_stack() {
     // End-to-end chunked framing in both directions: a client above its
     // chunk threshold streams the request chunked; the server parses it,
@@ -915,8 +948,8 @@ fn shaped_partial_io_round_trips_through_the_soap_stack() {
 fn request_head_dribbled_across_many_events_is_reassembled() {
     // A client that stalls mid-header: each fragment arrives in its own
     // readiness event with a genuine WouldBlock in between, so the
-    // connection parks in ReadHead with a partial buffer and resumes when
-    // the next bytes land. A thread-per-connection server gets this for
+    // connection parks in Read with a partial line buffered in its
+    // decoder and resumes when the next bytes land. A thread-per-connection server gets this for
     // free from blocking reads; the state machine must earn it.
     use std::io::{Read, Write};
 
