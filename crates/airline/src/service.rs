@@ -5,11 +5,11 @@
 use crate::data::Dataset;
 use crate::event::{catering_event_type, CateringEvent};
 use sbq_model::{TypeDesc, Value};
-use sbq_runtime::sync::Mutex;
 use sbq_wsdl::ServiceDef;
 use soap_binq::{SoapServer, SoapServerBuilder, WireEncoding};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// The airline OIS service definition.
 pub fn airline_service(location: &str) -> ServiceDef {
@@ -55,7 +55,7 @@ impl OisServer {
             .flights
             .iter()
             .position(|f| f.number == flight_number)?;
-        let mut cur = self.cursor.lock();
+        let mut cur = self.cursor.lock().unwrap();
         let e = CateringEvent::build(&self.dataset, idx, *cur);
         *cur += crate::event::LINES_PER_EVENT;
         Some(e)

@@ -28,9 +28,11 @@
 //!
 //! `--short` (or `BENCH_SHORT=1`) runs a reduced matrix for CI smoke.
 
+use sbq_bench::loadgen::{self, Driver, Next};
+use sbq_bench::report::{short_mode, Bound, Obj, Report};
 use sbq_bench::{fmt_dur, header};
 use sbq_model::{workload, TypeDesc};
-use sbq_telemetry::{expo, HistogramSnapshot, Registry, TraceConfig};
+use sbq_telemetry::{HistogramSnapshot, Registry, TraceConfig};
 use sbq_wsdl::ServiceDef;
 use soap_binq::{ClientConfig, ServerConfig, SoapClient, SoapServerBuilder, WireEncoding};
 use std::time::{Duration, Instant};
@@ -43,62 +45,12 @@ fn echo_service() -> ServiceDef {
     )
 }
 
-/// Fetches `GET /trace.json` from the live server, validates that it is
-/// well-formed Chrome trace JSON, and returns it; exits nonzero when the
-/// export is malformed or empty of the spans this bench must produce.
-fn check_trace_export(addr: std::net::SocketAddr) -> String {
-    let mut http = sbq_http::HttpClient::connect(addr).expect("connect for /trace.json");
-    let resp = http
-        .send(sbq_http::Request::get("/trace.json"))
-        .expect("GET /trace.json");
-    assert_eq!(resp.status, 200, "/trace.json status");
-    let text = String::from_utf8(resp.body).expect("trace export is utf-8");
-    if let Err(e) = expo::validate_json(&text) {
-        eprintln!("malformed /trace.json export: {e}\n---\n{text}");
-        std::process::exit(1);
-    }
-    for required in ["\"traceEvents\"", "server.request", "server.handler"] {
-        if !text.contains(required) {
-            eprintln!("/trace.json export is missing {required}\n---\n{text}");
-            std::process::exit(1);
-        }
-    }
-    text
-}
-
-/// Fetches `GET /metrics` from the live server and validates the text
-/// exposition; exits nonzero on any malformation.
-fn check_metrics_exposition(addr: std::net::SocketAddr) {
-    let mut http = sbq_http::HttpClient::connect(addr).expect("connect for /metrics");
-    let resp = http
-        .send(sbq_http::Request::get("/metrics"))
-        .expect("GET /metrics");
-    assert_eq!(resp.status, 200, "/metrics status");
-    let text = String::from_utf8(resp.body).expect("metrics text is utf-8");
-    let samples = match expo::parse_text(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("malformed /metrics exposition: {e}\n---\n{text}");
-            std::process::exit(1);
-        }
-    };
-    for required in [
-        "http_requests_post",
-        "http_status_2xx",
-        "marshal_pbio_encode_count",
-    ] {
-        if !samples.iter().any(|s| s.name == required) {
-            eprintln!("/metrics exposition is missing {required}\n---\n{text}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn run_level(
     clients: usize,
     workers: usize,
     calls: usize,
     reg: &Registry,
+    report: &mut Report,
 ) -> (HistogramSnapshot, String) {
     let svc = echo_service();
     let server = SoapServerBuilder::new(&svc, WireEncoding::Pbio)
@@ -136,22 +88,31 @@ fn run_level(
         h.join().expect("client thread finished");
     }
 
-    check_metrics_exposition(addr);
-    let trace_json = check_trace_export(addr);
-    (hist.snapshot(), trace_json)
+    // The live endpoints must be well formed and show this level's work.
+    let metrics = report.require("metrics_exposition", loadgen::metrics(addr));
+    for name in [
+        "http_requests_post",
+        "http_status_2xx",
+        "marshal_pbio_encode_count",
+    ] {
+        report.check(
+            &format!("c{clients}.metrics.{name}"),
+            metrics.find(name).is_some(),
+        );
+    }
+    let (status, trace) = report.require("trace_export", loadgen::json(addr, "/trace.json"));
+    report.check(&format!("c{clients}.trace.status_200"), status == 200);
+    for name in ["traceEvents", "server.request", "server.handler"] {
+        let found = trace.contains(&format!("\"{name}\""));
+        report.check(&format!("c{clients}.trace.{name}"), found);
+    }
+    (hist.snapshot(), trace)
 }
 
-/// One non-blocking keep-alive connection in the storm: writes a fixed
-/// request, reads the echoed response, repeats `calls` times, then parks
-/// idle so the self-check can count it.
-struct StormConn {
-    stream: std::net::TcpStream,
-    out_pos: usize,
-    decoder: sbq_http::Decoder<sbq_http::Response>,
-    calls_left: usize,
-    t0: Instant,
-    writing: bool,
-    done: bool,
+/// Prints a table row: `label`, then three nanosecond latencies.
+fn print_row(label: &str, ns: [u64; 3]) {
+    let [a, b, c] = ns.map(|ns| fmt_dur(Duration::from_nanos(ns)));
+    println!("{label:>12} | {a} | {b} | {c}");
 }
 
 fn count_process_threads() -> Option<usize> {
@@ -165,21 +126,19 @@ fn count_process_threads() -> Option<usize> {
         })
 }
 
-/// Keep-alive storm: `n` non-blocking connections multiplexed on one
-/// bench-side reactor, each making `calls` echo requests against an HTTP
-/// echo server with a small fixed CPU pool, then parking idle. Returns
-/// the call latency and the `connect()` latency histograms. Every call
-/// clock starts once all `n` sockets are connected, so connecting the
-/// other sockets never counts as call latency. Exits nonzero when the
-/// c10k self-checks fail.
+/// Keep-alive storm: `n` non-blocking connections on one bench-side
+/// reactor, each making `calls` echo requests against an HTTP echo server
+/// with a small fixed CPU pool, then parking idle. Returns the call
+/// latency and the `connect()` latency histograms. Every call clock
+/// starts once all `n` sockets are connected, so connecting the other
+/// sockets never counts as call latency. Gates the c10k self-checks.
 fn run_storm(
     n: usize,
     calls: usize,
     workers: usize,
     reg: &Registry,
+    report: &mut Report,
 ) -> (HistogramSnapshot, HistogramSnapshot) {
-    use sbq_runtime::reactor::{Interest, Reactor, Token};
-
     let handle = sbq_http::HttpServer::bind_with(
         "127.0.0.1:0".parse().unwrap(),
         sbq_http::ServerConfig::default()
@@ -191,179 +150,51 @@ fn run_storm(
     .expect("bind storm server");
     let addr = handle.addr();
 
-    let request = {
-        let mut r = sbq_http::Request::post("/echo", "application/octet-stream", vec![0x5a; 64]);
-        r.headers.push(("Host".to_string(), "b".to_string()));
-        r.to_bytes()
-    };
-    let pool = sbq_runtime::BufferPool::new();
+    let mut request = sbq_http::Request::post("/echo", "application/octet-stream", vec![0x5a; 64]);
+    request.headers.push(("Host".to_string(), "b".to_string()));
+    let request = request.to_bytes();
 
-    let reactor = Reactor::new().expect("bench reactor");
     let connect_hist = reg.histogram(&format!("bench.storm_connect_ns.c{n}"));
-    let mut conns: Vec<StormConn> = Vec::with_capacity(n);
+    let connected = Driver::connect(addr, n, |d| connect_hist.record_duration(d));
+    let mut driver = report.require("storm_connect", connected);
     for i in 0..n {
-        let t0 = Instant::now();
-        let stream = std::net::TcpStream::connect(addr).expect("storm connect");
-        connect_hist.record_duration(t0.elapsed());
-        stream.set_nonblocking(true).expect("nonblocking");
-        let _ = stream.set_nodelay(true);
-        reactor
-            .register(&stream, Token(i as u64), Interest::WRITABLE)
-            .expect("register storm conn");
-        conns.push(StormConn {
-            stream,
-            out_pos: 0,
-            decoder: sbq_http::Decoder::new(sbq_http::Limits::default()),
-            calls_left: calls,
-            t0: Instant::now(),
-            writing: true,
-            done: false,
-        });
-    }
-
-    // Every call clock starts here, when polling begins.
-    let polling = Instant::now();
-    for c in &mut conns {
-        c.t0 = polling;
+        driver.set_request(i, request.clone());
     }
     let hist = reg.histogram(&format!("bench.storm_call_ns.c{n}"));
-    let mut pending = n;
-    let mut events = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while pending > 0 {
-        if Instant::now() > deadline {
-            eprintln!("storm stalled: {pending}/{n} connections still working");
-            std::process::exit(1);
+    let mut calls_left = vec![calls; n];
+    let storm = driver.run(n, |i, _, elapsed| {
+        hist.record_duration(elapsed);
+        calls_left[i] -= 1;
+        if calls_left[i] == 0 {
+            // Park idle (still open) for the self-check.
+            Next::Park
+        } else {
+            Next::Again
         }
-        reactor
-            .poll(&mut events, Some(Duration::from_millis(100)))
-            .expect("storm poll");
-        for ev in &events {
-            use std::io::{Read, Write};
-            let c = &mut conns[ev.token.0 as usize];
-            if c.done {
-                continue;
-            }
-            if ev.error {
-                eprintln!("storm connection {} errored", ev.token.0);
-                std::process::exit(1);
-            }
-            loop {
-                if c.writing {
-                    match c.stream.write(&request[c.out_pos..]) {
-                        Ok(0) => break,
-                        Ok(k) => {
-                            c.out_pos += k;
-                            if c.out_pos == request.len() {
-                                c.writing = false;
-                                reactor
-                                    .reregister(&c.stream, ev.token, Interest::READABLE)
-                                    .expect("reregister read");
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            eprintln!("storm write failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                } else {
-                    let mut chunk = [0u8; 4096];
-                    match c.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            eprintln!("storm server closed a keep-alive connection early");
-                            std::process::exit(1);
-                        }
-                        Ok(k) => {
-                            let used = c.decoder.feed(&chunk[..k], &pool).unwrap_or_else(|e| {
-                                eprintln!("storm response malformed: {e}");
-                                std::process::exit(1);
-                            });
-                            if let Some(resp) = c.decoder.take() {
-                                if used != k {
-                                    eprintln!("storm server sent bytes past a response");
-                                    std::process::exit(1);
-                                }
-                                hist.record_duration(c.t0.elapsed());
-                                pool.put(resp.body);
-                                c.calls_left -= 1;
-                                if c.calls_left == 0 {
-                                    // Park idle (still open) for the self-check.
-                                    c.done = true;
-                                    reactor
-                                        .reregister(&c.stream, ev.token, Interest::NONE)
-                                        .expect("park storm conn");
-                                    pending -= 1;
-                                    break;
-                                }
-                                c.t0 = Instant::now();
-                                c.out_pos = 0;
-                                c.writing = true;
-                                reactor
-                                    .reregister(&c.stream, ev.token, Interest::WRITABLE)
-                                    .expect("reregister write");
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            eprintln!("storm read failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    });
+    report.require(&format!("storm_c{n}.calls"), storm);
 
     // Self-check 1: the server really is holding all N connections open.
     let floor = n.min(1000) as f64;
-    let mut http = sbq_http::HttpClient::connect(addr).expect("connect for storm /metrics");
-    let resp = http
-        .send(sbq_http::Request::get("/metrics"))
-        .expect("GET /metrics");
-    let text = String::from_utf8(resp.body).expect("metrics utf-8");
-    let samples = expo::parse_text(&text).unwrap_or_else(|e| {
-        eprintln!("malformed /metrics exposition during storm: {e}");
-        std::process::exit(1);
-    });
-    let gauge = |name: &str| {
-        samples
-            .iter()
-            .find(|s| s.name == name && s.quantile.is_none())
-            .map(|s| s.value)
-            .unwrap_or(0.0)
-    };
-    let open = gauge("http_connections_open");
-    if open < floor {
-        eprintln!("c10k self-check failed: {n} connections parked but /metrics reports only {open} open (need >= {floor})");
-        std::process::exit(1);
-    }
+    let metrics = report.require("storm_metrics", loadgen::metrics(addr));
+    let open = metrics.value("http_connections_open");
+    report.gate(&format!("storm_c{n}.open"), open, Bound::Ge(floor), true);
 
     // Self-check 2: connection count must not leak into thread count. The
     // whole process is main + the server's reactor + its CPU pool (the
     // storm clients all live on this thread); allow one extra for the
-    // telemetry-free margin.
-    if let Some(threads) = count_process_threads() {
-        let budget = workers + 3;
-        if threads > budget {
-            eprintln!(
-                "c10k self-check failed: {threads} process threads with {n} connections \
-                 (budget {budget} = {workers} CPU pool + reactor + main + 1)"
-            );
-            std::process::exit(1);
-        }
-        println!("  storm c{n}: {open:.0} conns open on {threads} process threads");
-    }
-
-    drop(conns);
-    drop(handle);
+    // telemetry-free margin. An unreadable /proc/self/status leaves the
+    // gate skipped.
+    let threads = count_process_threads().map_or(f64::NAN, |t| t as f64);
+    let budget = Bound::Le((workers + 3) as f64);
+    report.gate(&format!("storm_c{n}.threads"), threads, budget, true);
+    println!("  storm c{n}: {open:.0} conns open on {threads} process threads");
     (hist.snapshot(), connect_hist.snapshot())
 }
 
 fn main() {
-    let short = std::env::args().any(|a| a == "--short") || std::env::var("BENCH_SHORT").is_ok();
+    let short = short_mode();
+    let mut report = Report::new("concurrency", "BENCH_concurrency.json", short);
     let calls = if short { 5 } else { 50 };
     let levels: &[usize] = if short { &[1, 4] } else { &[1, 8, 64] };
     let workers = std::thread::available_parallelism()
@@ -378,18 +209,16 @@ fn main() {
         &format!("worker-pool call latency ({workers} workers, {calls} calls/client)"),
         &["clients", "p50", "p99", "max"],
     );
-    let mut level_json = Vec::new();
+    let mut level_json = Obj::new();
     let mut trace_json = String::new();
     for &clients in levels {
-        let (snap, trace) = run_level(clients, workers, calls, &reg);
+        let (snap, trace) = run_level(clients, workers, calls, &reg, &mut report);
         trace_json = trace;
-        println!(
-            "{clients:>7} | {} | {} | {}",
-            fmt_dur(Duration::from_nanos(snap.quantile(0.5))),
-            fmt_dur(Duration::from_nanos(snap.quantile(0.99))),
-            fmt_dur(Duration::from_nanos(snap.max)),
+        print_row(
+            &clients.to_string(),
+            [snap.quantile(0.5), snap.quantile(0.99), snap.max],
         );
-        level_json.push(format!("\"c{clients}\":{}", expo::histogram_json(&snap)));
+        level_json.set(&format!("c{clients}"), &snap);
     }
 
     // Keep-alive storm: thousands of connections on one bench-side
@@ -410,35 +239,25 @@ fn main() {
         &format!("keep-alive storm ({storm_workers}-thread CPU pool, {storm_calls} calls/conn)"),
         &["conns", "p50", "p99", "p999"],
     );
-    let mut storm_json = Vec::new();
-    let mut connect_json = Vec::new();
+    let mut storm_json = Obj::new()
+        .put("workers", storm_workers as u64)
+        .put("calls_per_conn", storm_calls as u64);
+    let mut connect_json = Obj::new();
     for &n in storm_levels {
-        let (snap, connect) = run_storm(n, storm_calls, storm_workers, &reg);
+        let (snap, connect) = run_storm(n, storm_calls, storm_workers, &reg, &mut report);
         for (label, snap) in [(format!("{n}"), &snap), (format!("{n} connect"), &connect)] {
-            println!(
-                "{label:>12} | {} | {} | {}",
-                fmt_dur(Duration::from_nanos(snap.quantile(0.5))),
-                fmt_dur(Duration::from_nanos(snap.quantile(0.99))),
-                fmt_dur(Duration::from_nanos(snap.quantile(0.999))),
-            );
+            print_row(&label, [0.5, 0.99, 0.999].map(|q| snap.quantile(q)));
         }
-        storm_json.push(format!("\"c{n}\":{}", expo::histogram_json(&snap)));
-        connect_json.push(format!("\"c{n}\":{}", expo::histogram_json(&connect)));
+        storm_json.set(&format!("c{n}"), &snap);
+        connect_json.set(&format!("c{n}"), &connect);
     }
 
-    let json = format!(
-        "{{\"bench\":\"concurrency\",\"short\":{short},\"workers\":{workers},\
-         \"calls_per_client\":{calls},\"unit\":\"ns\",\"levels\":{{{}}},\
-         \"storm\":{{\"workers\":{storm_workers},\"calls_per_conn\":{storm_calls},{},\
-         \"connect\":{{{}}}}}}}",
-        level_json.join(","),
-        storm_json.join(","),
-        connect_json.join(",")
-    );
-    std::fs::write("BENCH_concurrency.json", format!("{json}\n")).expect("write bench json");
+    report.set("workers", workers);
+    report.set("calls_per_client", calls);
+    report.set("unit", "ns");
+    report.set("levels", level_json);
+    report.set("storm", storm_json.put("connect", connect_json));
     std::fs::write("BENCH_trace.json", format!("{trace_json}\n")).expect("write trace json");
-    println!(
-        "\nwrote BENCH_concurrency.json and BENCH_trace.json; \
-         /metrics and /trace.json validated"
-    );
+    println!("\nwrote BENCH_trace.json; /metrics and /trace.json validated");
+    report.finish();
 }

@@ -28,47 +28,20 @@
 //!
 //! `--short` (or `BENCH_SHORT=1`) shrinks the request trains for CI.
 
+use sbq_bench::loadgen;
+use sbq_bench::report::{short_mode, Bound, Report};
 use sbq_bench::{fmt_dur, header};
-use sbq_http::{FaultSchedule, HttpClient, HttpServer, Request, Response, ServerConfig};
-use sbq_telemetry::{expo, HealthConfig, Registry, SloConfig, TraceConfig};
+use sbq_http::{FaultSchedule, HttpClient, HttpServer, Response, ServerConfig};
+use sbq_telemetry::{HealthConfig, Registry, SloConfig, TraceConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const STALL: Duration = Duration::from_millis(400);
 
-/// Counter/gauge lookup in a parsed `/metrics` exposition.
-fn sample_value(samples: &[expo::Sample], name: &str) -> f64 {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.quantile.is_none())
-        .map(|s| s.value)
-        .unwrap_or(0.0)
-}
-
-fn metrics_samples(c: &mut HttpClient) -> Vec<expo::Sample> {
-    let resp = c.send(Request::get("/metrics")).expect("GET /metrics");
-    assert_eq!(resp.status, 200, "/metrics status");
-    let text = String::from_utf8(resp.body).expect("metrics utf-8");
-    expo::parse_text(&text).unwrap_or_else(|e| {
-        eprintln!("malformed /metrics exposition: {e}\n---\n{text}");
-        std::process::exit(1);
-    })
-}
-
-/// `GET /statusz`: returns `(status, body)` after validating the JSON.
-fn statusz(c: &mut HttpClient) -> (u16, String) {
-    let resp = c.send(Request::get("/statusz")).expect("GET /statusz");
-    let body = String::from_utf8(resp.body).expect("statusz utf-8");
-    if let Err(e) = expo::validate_json(&body) {
-        eprintln!("malformed /statusz document: {e}\n---\n{body}");
-        std::process::exit(1);
-    }
-    (resp.status, body)
-}
-
 fn main() {
-    let short = std::env::args().any(|a| a == "--short") || std::env::var("BENCH_SHORT").is_ok();
+    let short = short_mode();
+    let mut report = Report::new("health", "BENCH_health.json", short);
     let baseline_n: usize = if short { 200 } else { 1000 };
 
     let reg = Registry::new();
@@ -112,7 +85,6 @@ fn main() {
     })
     .expect("bind health bench server");
     let addr = handle.addr();
-    let mut failures: Vec<String> = Vec::new();
 
     header("runtime health", &["phase", "result"]);
 
@@ -133,38 +105,25 @@ fn main() {
     // The heartbeat due during the freeze fires late; give the watchdog
     // a couple of beats to latch, count, and clear.
     let deadline = Instant::now() + Duration::from_secs(3);
-    let mut m = metrics_samples(&mut c);
-    while sample_value(&m, "reactor_stalls") < 1.0 && Instant::now() < deadline {
+    let mut m = report.require("metrics", loadgen::metrics(addr));
+    let (mut stalls, mut stalled) = (m.value("reactor_stalls"), m.value("reactor_stalled"));
+    while (stalls < 1.0 || stalled != 0.0) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
-        m = metrics_samples(&mut c);
+        m = report.require("metrics", loadgen::metrics(addr));
+        (stalls, stalled) = (m.value("reactor_stalls"), m.value("reactor_stalled"));
     }
-    while sample_value(&m, "reactor_stalled") != 0.0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        m = metrics_samples(&mut c);
-    }
-    let stalls = sample_value(&m, "reactor_stalls");
-    if stalls != 1.0 {
-        failures.push(format!("watchdog counted {stalls} stall episodes, want 1"));
-    }
-    if sample_value(&m, "reactor_stalled") != 0.0 {
-        failures.push("reactor.stalled latch never cleared".into());
-    }
-    let (code, body) = statusz(&mut c);
-    if code != 200 {
-        failures.push(format!("/statusz {code} after stall recovery, want 200"));
-    }
+    report.gate("watchdog_stall_episodes", stalls, Bound::Eq(1.0), true);
+    report.gate("watchdog_latch_cleared", stalled, Bound::Eq(0.0), true);
+    let (code, body) = report.require("statusz", loadgen::json(addr, "/statusz"));
+    report.gate("statusz_after_stall", code.into(), Bound::Eq(200.0), true);
     for kind in ["reactor.stall", "reactor.recovered"] {
-        if !body.contains(&format!("\"kind\":\"{kind}\"")) {
-            failures.push(format!("/statusz slowlog is missing a {kind} entry"));
-        }
+        let logged = body.contains(&format!("\"kind\":\"{kind}\""));
+        report.check(&format!("slowlog_has_{kind}"), logged);
     }
     let lag = reg.histogram("reactor.loop_lag_us").snapshot();
-    if lag.quantile(0.99) < 100_000 {
-        failures.push(format!(
-            "loop-lag p99 {}us does not reflect the {STALL:?} stall",
-            lag.quantile(0.99)
-        ));
-    }
+    // The stall must show in the loop-lag tail.
+    let lag_p99 = lag.quantile(0.99) as f64;
+    report.gate("loop_lag_p99_us", lag_p99, Bound::Ge(100_000.0), true);
     println!(
         "{:>9} | {} calls in {}, stall latched once, lag p50 {} p99 {}",
         "watchdog",
@@ -177,33 +136,22 @@ fn main() {
     // Phase 2: the stalled request owns the request-latency tail; its
     // exemplar must link /metrics to /trace.json.
     let exemplar = m
-        .iter()
-        .find(|s| s.name == "http_request_us_max")
+        .find("http_request_us_max")
         .and_then(|s| s.exemplar.clone());
+    report.check("request_tail_has_exemplar", exemplar.is_some());
     let mut exemplar_trace = String::new();
-    match exemplar {
-        None => failures.push("http_request_us_max carries no trace-id exemplar".into()),
-        Some((hex, value)) => {
-            let resp = c
-                .send(Request::get("/trace.json"))
-                .expect("GET /trace.json");
-            let json = String::from_utf8(resp.body).expect("trace utf-8");
-            if let Err(e) = expo::validate_json(&json) {
-                eprintln!("malformed /trace.json export: {e}");
-                std::process::exit(1);
-            }
-            if json.contains(&format!("\"trace\":\"{hex}\"")) {
-                println!(
-                    "{:>9} | tail {} tagged trace {}..., resolved in /trace.json",
-                    "exemplars",
-                    fmt_dur(Duration::from_micros(value as u64)),
-                    &hex[..8],
-                );
-            } else {
-                failures.push(format!("exemplar trace {hex} not found in /trace.json"));
-            }
-            exemplar_trace = hex;
+    if let Some((hex, value)) = exemplar {
+        let (_, json) = report.require("trace_export", loadgen::json(addr, "/trace.json"));
+        let resolved = json.contains(&format!("\"trace\":\"{hex}\""));
+        if report.check("exemplar_resolves_in_trace", resolved) {
+            println!(
+                "{:>9} | tail {} tagged trace {}..., resolved in /trace.json",
+                "exemplars",
+                fmt_dur(Duration::from_micros(value as u64)),
+                &hex[..8],
+            );
         }
+        exemplar_trace = hex;
     }
 
     // Phase 3: overload — every other call fails until the burn is red.
@@ -218,16 +166,15 @@ fn main() {
             bad += 1;
         }
     }
-    let (code, body) = statusz(&mut c);
-    if code != 503 || !body.contains("\"ready\":false") {
-        failures.push(format!(
-            "/statusz stayed {code} under a {bad}/{overload_n}-failure burn, want 503/unready"
-        ));
-    } else {
+    let (code, body) = report.require("statusz", loadgen::json(addr, "/statusz"));
+    let unready = code == 503 && body.contains("\"ready\":false");
+    if report.check("statusz_unready_under_burn", unready) {
         println!(
             "{:>9} | {bad}/{overload_n} calls failed, /statusz 503 (burn red)",
             "overload"
         );
+    } else {
+        eprintln!("/statusz stayed {code} under a {bad}/{overload_n}-failure burn");
     }
 
     // Phase 4: recovery — good calls dilute the windows back under the
@@ -239,9 +186,7 @@ fn main() {
     let mut ready = false;
     while !ready {
         if Instant::now() > deadline {
-            failures.push(format!(
-                "/statusz still unready after {recovery_calls} recovery calls"
-            ));
+            eprintln!("/statusz still unready after {recovery_calls} recovery calls");
             break;
         }
         for _ in 0..200 {
@@ -251,11 +196,11 @@ fn main() {
             assert_eq!(resp.status, 200, "recovery call status");
             recovery_calls += 1;
         }
-        let (code, body) = statusz(&mut c);
+        let (code, body) = report.require("statusz", loadgen::json(addr, "/statusz"));
         ready = code == 200 && body.contains("\"ready\":true");
     }
     let recovery = t0.elapsed();
-    if ready {
+    if report.check("statusz_ready_after_recovery", ready) {
         println!(
             "{:>9} | ready again after {recovery_calls} good calls ({})",
             "recovery",
@@ -271,48 +216,28 @@ fn main() {
 
     // Resource accounting: the sampler thread must have populated the
     // proc gauges by now (200 ms interval).
-    let m = metrics_samples(&mut c);
-    let peak_rss = sample_value(&m, "proc_peak_rss_bytes");
-    let open_fds = sample_value(&m, "proc_open_fds");
-    if peak_rss <= 0.0 {
-        failures.push("proc.peak_rss_bytes never sampled".into());
-    }
-    if open_fds <= 0.0 {
-        failures.push("proc.open_fds never sampled".into());
-    }
+    let m = report.require("metrics", loadgen::metrics(addr));
+    let peak_rss = m.value("proc_peak_rss_bytes");
+    let open_fds = m.value("proc_open_fds");
+    report.check("proc_peak_rss_sampled", peak_rss > 0.0);
+    report.check("proc_open_fds_sampled", open_fds > 0.0);
     println!(
         "{:>9} | peak RSS {:.1} MiB, {open_fds} open fds",
         "proc",
         peak_rss / (1024.0 * 1024.0),
     );
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("self-check failed: {f}");
-        }
-        std::process::exit(1);
-    }
-
-    let json = format!(
-        "{{\"bench\":\"health\",\"short\":{short},\"unit\":\"us\",\
-         \"baseline_calls\":{baseline_n},\
-         \"loop_lag_us\":{},\"call_us\":{},\"request_us\":{},\
-         \"stalls\":{},\"exemplar_trace\":\"{exemplar_trace}\",\
-         \"overload_failures\":{bad},\"recovery_calls\":{recovery_calls},\
-         \"recovery_ms\":{},\"peak_rss_bytes\":{},\"open_fds\":{}}}",
-        expo::histogram_json(&lag),
-        expo::histogram_json(&call_us.snapshot()),
-        expo::histogram_json(&reg.histogram("http.request_us").snapshot()),
-        stalls as u64,
-        recovery.as_millis(),
-        peak_rss as u64,
-        open_fds as u64,
-    );
-    std::fs::write("BENCH_health.json", format!("{json}\n")).expect("write bench json");
-    println!(
-        "\nwrote BENCH_health.json; loop-lag p50 {} p99 {}, peak RSS {:.1} MiB",
-        fmt_dur(Duration::from_micros(lag.quantile(0.5))),
-        fmt_dur(Duration::from_micros(lag.quantile(0.99))),
-        peak_rss / (1024.0 * 1024.0),
-    );
+    report.set("unit", "us");
+    report.set("baseline_calls", baseline_n);
+    report.set("loop_lag_us", &lag);
+    report.set("call_us", call_us.snapshot());
+    report.set("request_us", reg.histogram("http.request_us").snapshot());
+    report.set("stalls", stalls);
+    report.set("exemplar_trace", exemplar_trace.as_str());
+    report.set("overload_failures", bad);
+    report.set("recovery_calls", recovery_calls);
+    report.set("recovery_ms", recovery.as_millis() as u64);
+    report.set("peak_rss_bytes", peak_rss);
+    report.set("open_fds", open_fds);
+    report.finish();
 }

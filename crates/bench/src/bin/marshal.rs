@@ -1,6 +1,8 @@
 //! Marshalling hot-path benchmark: encode/decode throughput (MB/s) and
 //! allocations per operation for PBIO, XML, and compressed XML across
-//! float-array payloads from 1 K to 1 M elements.
+//! float-array payloads from 1 K to 1 M elements, plus an 8 Ki-int array
+//! and a depth-6 nested struct through XML, PBIO (including big-endian
+//! receiver-makes-right decode), XDR and LZ-compressed XML.
 //!
 //! The PBIO rows are measured twice: once through the current bulk-kernel
 //! path (`plan::encode` / `ConversionPlan::execute`, which fuse
@@ -21,10 +23,12 @@
 //!
 //! (throughput gates advisory under `--short`, enforced in full mode; the
 //! allocation gate is deterministic and enforced in both), exiting
-//! nonzero otherwise. Per-kernel rows (`swap16/32/64`, `widen`,
+//! nonzero otherwise. Each throughput gate reads the median of five
+//! interleaved rounds in which its before/after twins are timed back to
+//! back. Per-kernel rows (`swap16/32/64`, `widen`,
 //! `f32_to_f64`, `xml.escape_scan`) compare each dispatched entry point
-//! to its scalar twin on preallocated buffers. Results go to
-//! `BENCH_marshal.json`, which is committed at the repo root.
+//! to its scalar twin on preallocated buffers. Rows and gate verdicts go
+//! to `BENCH_marshal.json`, which is committed at the repo root.
 //!
 //! ```sh
 //! cargo run --release -p sbq-bench --bin marshal [-- --short]
@@ -33,14 +37,15 @@
 //! `--short` (or `BENCH_SHORT=1`) runs fewer iterations and skips the
 //! slowest XML size for CI smoke.
 
-use sbq_bench::{fmt_bytes, time_min};
+use sbq_bench::report::{short_mode, Bound, Obj, Report};
+use sbq_bench::{fmt_bytes, median, time_min};
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_pbio::{format::FormatOptions, plan, ByteOrder, ConversionPlan, FormatDesc, WireFrame};
 use sbq_runtime::{cpu_pool::marshal_pool, simd};
 use soap_binq::marshal;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Allocation counting
@@ -170,30 +175,66 @@ fn reference_decode_message(framed: &[u8], width: u8, bo: ByteOrder) -> Vec<f64>
 // Measurement
 // ---------------------------------------------------------------------------
 
-struct Row {
-    encoding: &'static str,
-    op: &'static str,
-    elems: usize,
-    bytes: usize,
-    mbps: f64,
-    allocs: u64,
+/// Interleaved rounds behind each throughput gate.
+const REPS: usize = 5;
+
+/// A row: `(encoding, value, op, elements, input bytes per call)`.
+type Case<'a> = (&'a str, &'a str, &'a str, usize, usize);
+
+/// MB/s of `bytes` input per call of `f`, from its fastest of `iters` calls.
+fn rate<T>(iters: usize, bytes: usize, f: impl FnMut() -> T) -> f64 {
+    bytes as f64 / time_min(iters, f).as_secs_f64() / 1e6
 }
 
-fn mbps(bytes: usize, d: Duration) -> f64 {
-    bytes as f64 / d.as_secs_f64() / 1e6
+/// `REPS` rounds of `round`, which times each of a set of twins once, so
+/// the twins share whatever the host is doing.
+fn rounds<const K: usize>(round: impl FnMut(usize) -> [f64; K]) -> Vec<[f64; K]> {
+    (0..REPS).map(round).collect()
 }
 
-fn report(rows: &mut Vec<Row>, row: Row) {
-    println!(
-        "{:8} {:22} {:>10} elems {:>12} bytes {:>10.1} MB/s {:>6} allocs/op",
-        row.encoding,
-        row.op,
-        fmt_bytes(row.elems),
-        fmt_bytes(row.bytes),
-        row.mbps,
-        row.allocs
-    );
-    rows.push(row);
+/// The row table: MB/s and allocations per call of every measured case.
+struct Table {
+    iters: usize,
+    rows: Vec<Obj>,
+}
+
+impl Table {
+    /// Times `f`, records its row and returns its allocations per call.
+    fn measure<T>(&mut self, case: Case, mut f: impl FnMut() -> T) -> u64 {
+        let mbps = rate(self.iters, case.4, &mut f);
+        self.row(case, mbps, f)
+    }
+
+    /// Records a row measured at `mbps`; returns `f`'s allocations per call.
+    fn row<T>(&mut self, case: Case, mbps: f64, f: impl FnMut() -> T) -> u64 {
+        let (encoding, value, op, elems, bytes) = case;
+        let allocs = allocs_in(f);
+        let (elems_s, bytes_s) = (fmt_bytes(elems), fmt_bytes(bytes));
+        println!(
+            "{encoding:8} {value:18} {op:22} {elems_s:>10} elems {bytes_s:>12} bytes \
+             {mbps:>10.1} MB/s {allocs:>6} allocs/op"
+        );
+        let row = Obj::new()
+            .put("encoding", encoding)
+            .put("value", value)
+            .put("op", op)
+            .put("elems", elems)
+            .put("bytes", bytes)
+            .put("mbps", mbps)
+            .put("allocs_per_op", allocs);
+        self.rows.push(row);
+        allocs
+    }
+}
+
+/// Times a dispatched SIMD kernel call and the same call on its scalar
+/// twin (`simd::scalar`), one row each.
+macro_rules! kernel_twins {
+    ($t:expr, $op:expr, $elems:expr, $bytes:expr, $kernel:ident($($arg:expr),*)) => {
+        $t.measure(("kernel", "buffer", $op, $elems, $bytes), || simd::$kernel($($arg),*));
+        let scalar = ("kernel", "buffer", &*format!("{}-scalar", $op), $elems, $bytes);
+        $t.measure(scalar, || simd::scalar::$kernel($($arg),*));
+    };
 }
 
 fn options(bo: ByteOrder) -> FormatOptions {
@@ -205,9 +246,11 @@ fn options(bo: ByteOrder) -> FormatOptions {
 }
 
 fn main() {
-    let short = std::env::args().any(|a| a == "--short") || std::env::var("BENCH_SHORT").is_ok();
+    let short = short_mode();
+    let mut report = Report::new("marshal", "BENCH_marshal.json", short);
     let iters = if short { 5 } else { 20 };
-    let sizes: &[usize] = &[1_000, 10_000, 100_000, 1_000_000];
+    // XML is gated at the largest size measured; --short skips 1M.
+    let xml_gate_size = if short { 100_000 } else { 1_000_000 };
     let ty = TypeDesc::list_of(TypeDesc::Float);
     let native_bo = ByteOrder::native();
     let swapped_bo = match native_bo {
@@ -216,32 +259,29 @@ fn main() {
     };
     let native = FormatDesc::from_type(&ty, options(native_bo)).unwrap();
     let swapped = FormatDesc::from_type(&ty, options(swapped_bo)).unwrap();
-
-    let mut rows: Vec<Row> = Vec::new();
-    // before/after (encode MB/s, decode MB/s) for the 1M same-order row.
-    let mut before_1m = (0.0f64, 0.0f64);
-    let mut after_1m = (0.0f64, 0.0f64);
-    // Byteswapped 1M-f64 decode: (dispatched kernel, PR 5 scalar kernel).
-    let mut swap_1m = (0.0f64, 0.0f64);
-    // XML encode MB/s at the largest size measured this run.
-    let mut xml_encode_mbps = 0.0f64;
-    // XML decode: MB/s at 1M f64 (full runs only) and the most
-    // allocations one decode made at any size.
-    let mut xml_decode_1m_mbps = 0.0f64;
-    let mut xml_decode_max_allocs = 0u64;
+    let mut t = Table {
+        iters,
+        rows: Vec::new(),
+    };
+    // Per-round MB/s of the gated twins: pbio [after enc, after dec,
+    // before enc, before dec], byteswap [kernel, scalar], xml [enc, dec].
+    let (mut pbio_1m, mut swap_1m, mut xml_gated) = (vec![], vec![], vec![]);
+    let mut xml_decode_max_allocs = 0;
 
     println!(
-        "marshal hot-path benchmark ({} mode, min of {iters} runs)\n",
+        "marshal hot-path benchmark ({} mode, min of {iters} runs; gated rows: median of \
+         {REPS} interleaved rounds)\n",
         if short { "short" } else { "full" }
     );
 
-    for &n in sizes {
+    for n in [1_000, 10_000, 100_000, 1_000_000] {
         let value = workload::float_array(n, 3);
         let Value::FloatArray(raw) = &value else {
             unreachable!()
         };
         let payload = plan::encode(&value, &native).unwrap();
         let bytes = payload.len();
+        let float = |op| ("pbio", "float_array", op, n, bytes);
         // The data frame as it sits in an HTTP body:
         // kind(1) | id(4) | len(4) | payload.
         let mut framed = Vec::with_capacity(9 + bytes);
@@ -262,232 +302,169 @@ fn main() {
             plan::encode_into(&value, &native, &mut body_buf).unwrap();
             body_buf.len()
         };
-        let d = time_min(iters, &mut encode_message);
-        let enc_allocs = allocs_in(&mut encode_message);
-        report(
-            &mut rows,
-            Row {
-                encoding: "pbio",
-                op: "encode",
-                elems: n,
-                bytes,
-                mbps: mbps(bytes, d),
-                allocs: enc_allocs,
-            },
-        );
         let p = ConversionPlan::compile(&native, &native).unwrap();
-        let decode_message = || {
+        let mut decode_message = || {
             let (frame, _) = WireFrame::parse(&framed).unwrap();
             let WireFrame::Data { payload, .. } = frame else {
                 unreachable!()
             };
             p.execute(payload).unwrap()
         };
-        let d2 = time_min(iters, decode_message);
-        let dec_allocs = allocs_in(decode_message);
-        report(
-            &mut rows,
-            Row {
-                encoding: "pbio",
-                op: "decode",
-                elems: n,
-                bytes,
-                mbps: mbps(bytes, d2),
-                allocs: dec_allocs,
-            },
-        );
-        if n == 1_000_000 {
-            after_1m = (mbps(bytes, d), mbps(bytes, d2));
+        if n < 1_000_000 {
+            t.measure(float("encode"), &mut encode_message);
+            t.measure(float("decode"), &mut decode_message);
+        } else {
+            // The pre-bulk baseline, measured where the gate reads it. Width
+            // comes from format data at runtime, as it did for the old
+            // per-element loops.
+            let width: u8 = std::hint::black_box(8);
+            let mut encode_before = || reference_encode_message(raw, width, native_bo, bytes);
+            let mut decode_before = || reference_decode_message(&framed, width, native_bo);
+            // Cross-check both paths against each other so the "before"
+            // numbers measure a correct implementation.
+            let before = Value::FloatArray(decode_before());
+            assert_eq!(decode_message(), before, "baseline disagrees");
+            assert_eq!(encode_before(), framed, "baseline encodes different bytes");
+            pbio_1m = rounds(|_| {
+                [
+                    rate(iters, bytes, &mut encode_message),
+                    rate(iters, bytes, &mut decode_message),
+                    rate(iters, bytes, &mut encode_before),
+                    rate(iters, bytes, &mut decode_before),
+                ]
+            });
+            let m = |k: usize| median(pbio_1m.iter().map(|r| r[k]));
+            t.row(float("encode"), m(0), encode_message);
+            t.row(float("decode"), m(1), decode_message);
+            t.row(float("encode-before"), m(2), encode_before);
+            t.row(float("decode-before"), m(3), decode_before);
         }
 
         // --- Bulk path, cross byte order (swap on the bulk pass) -------
         let swapped_payload = plan::encode(&value, &swapped).unwrap();
         let px = ConversionPlan::compile(&swapped, &native).unwrap();
-        let d = time_min(iters, || px.execute(&swapped_payload).unwrap());
-        report(
-            &mut rows,
-            Row {
-                encoding: "pbio",
-                op: "decode-byteswap",
-                elems: n,
-                bytes,
-                mbps: mbps(bytes, d),
-                allocs: allocs_in(|| px.execute(&swapped_payload).unwrap()),
-            },
-        );
+        let decode_swapped = || px.execute(&swapped_payload).unwrap();
+        t.measure(float("decode-byteswap"), decode_swapped);
         if n == 1_000_000 {
             // Kernel-vs-kernel pair for the SIMD speedup gate: the same
             // wire payload decoded into a fresh Vec by the dispatched
-            // kernel and by its scalar twin (the PR 5 kernel), identical
-            // calling conventions on both sides. The full-plan row above
-            // stays as the end-to-end number; it mixes in header parsing
-            // and Value construction that dilute the kernel ratio.
+            // kernel and by its scalar twin, identical calling conventions
+            // on both sides. The full-plan row above stays as the
+            // end-to-end number; it mixes in header parsing and Value
+            // construction that dilute the kernel ratio.
             let body = &swapped_payload[4..];
-            let mut simd_swap_decode = || {
-                let mut out: Vec<f64> = Vec::with_capacity(n);
-                simd::decode_f64(body, 8, true, &mut out.spare_capacity_mut()[..n]);
-                // SAFETY: decode_f64 wrote all n elements.
-                unsafe { out.set_len(n) };
-                out
+            let swap_decode = |kernel: fn(&[u8], usize, bool, &mut [MaybeUninit<f64>])| {
+                move || {
+                    let mut out: Vec<f64> = Vec::with_capacity(n);
+                    kernel(body, 8, true, &mut out.spare_capacity_mut()[..n]);
+                    // SAFETY: the kernel wrote all n elements.
+                    unsafe { out.set_len(n) };
+                    out
+                }
             };
-            let dk = time_min(iters, &mut simd_swap_decode);
-            swap_1m.0 = mbps(bytes, dk);
-            report(
-                &mut rows,
-                Row {
-                    encoding: "pbio",
-                    op: "decode-byteswap-kernel",
-                    elems: n,
-                    bytes,
-                    mbps: swap_1m.0,
-                    allocs: allocs_in(&mut simd_swap_decode),
-                },
-            );
-            let mut scalar_swap_decode = || {
-                let mut out: Vec<f64> = Vec::with_capacity(n);
-                simd::scalar::decode_f64(body, 8, true, &mut out.spare_capacity_mut()[..n]);
-                // SAFETY: decode_f64 wrote all n elements.
-                unsafe { out.set_len(n) };
-                out
-            };
-            let ds = time_min(iters, &mut scalar_swap_decode);
-            swap_1m.1 = mbps(bytes, ds);
-            let via_plan = px.execute(&swapped_payload).unwrap();
-            assert_eq!(
-                via_plan,
-                Value::FloatArray(simd_swap_decode()),
-                "simd kernel disagrees with the plan path"
-            );
-            assert_eq!(
-                via_plan,
-                Value::FloatArray(scalar_swap_decode()),
-                "scalar byteswap twin disagrees with the plan path"
-            );
-            report(
-                &mut rows,
-                Row {
-                    encoding: "pbio",
-                    op: "decode-byteswap-scalar",
-                    elems: n,
-                    bytes,
-                    mbps: swap_1m.1,
-                    allocs: allocs_in(&mut scalar_swap_decode),
-                },
-            );
-        }
-
-        // --- The pre-bulk baseline (snapshot once per invocation) ------
-        // Re-measuring the old per-element path at every size used to
-        // spend most of a --short run's budget on "before" numbers that
-        // the gate only reads at 1M; one snapshot at the largest size
-        // pins the same comparison.
-        if n == 1_000_000 {
-            // Width comes from format data at runtime, as it did for the
-            // old per-element loops.
-            let width: u8 = std::hint::black_box(8);
-            let d = time_min(iters, || {
-                reference_encode_message(raw, width, native_bo, bytes)
+            let mut kernel = swap_decode(simd::decode_f64);
+            let mut scalar = swap_decode(simd::scalar::decode_f64);
+            for out in [kernel(), scalar()] {
+                let out = Value::FloatArray(out);
+                assert_eq!(decode_swapped(), out, "byteswap kernel disagrees");
+            }
+            swap_1m = rounds(|_| {
+                [
+                    rate(iters, bytes, &mut kernel),
+                    rate(iters, bytes, &mut scalar),
+                ]
             });
-            report(
-                &mut rows,
-                Row {
-                    encoding: "pbio",
-                    op: "encode-before",
-                    elems: n,
-                    bytes,
-                    mbps: mbps(bytes, d),
-                    allocs: allocs_in(|| reference_encode_message(raw, width, native_bo, bytes)),
-                },
-            );
-            let d2 = time_min(iters, || {
-                reference_decode_message(&framed, width, native_bo)
-            });
-            report(
-                &mut rows,
-                Row {
-                    encoding: "pbio",
-                    op: "decode-before",
-                    elems: n,
-                    bytes,
-                    mbps: mbps(bytes, d2),
-                    allocs: allocs_in(|| reference_decode_message(&framed, width, native_bo)),
-                },
-            );
-            before_1m = (mbps(bytes, d), mbps(bytes, d2));
-            // Cross-check both paths against each other so the "before"
-            // numbers measure a correct implementation.
-            let bulk = decode_message();
-            let scalar = reference_decode_message(&framed, width, native_bo);
-            assert_eq!(bulk, Value::FloatArray(scalar), "baseline disagrees");
-            assert_eq!(
-                reference_encode_message(raw, width, native_bo, bytes),
-                framed,
-                "baseline encodes different bytes"
-            );
+            let m = |k: usize| median(swap_1m.iter().map(|r| r[k]));
+            t.row(float("decode-byteswap-kernel"), m(0), kernel);
+            t.row(float("decode-byteswap-scalar"), m(1), scalar);
         }
 
         // --- XML / compressed XML -------------------------------------
-        if short && n >= 1_000_000 {
+        if n > xml_gate_size {
             println!("xml      (skipped at {} elems under --short)", fmt_bytes(n));
             continue;
         }
         let xml = marshal::value_to_xml(&value, "p");
-        let xml_bytes = xml.len();
-        let d = time_min(iters, || marshal::value_to_xml(&value, "p"));
-        xml_encode_mbps = mbps(xml_bytes, d); // sizes ascend: last = largest
-        report(
-            &mut rows,
-            Row {
-                encoding: "xml",
-                op: "encode",
-                elems: n,
-                bytes: xml_bytes,
-                mbps: mbps(xml_bytes, d),
-                allocs: allocs_in(|| marshal::value_to_xml(&value, "p")),
-            },
-        );
-        let d = time_min(iters, || marshal::parse_document(&xml, &ty).unwrap());
-        let dec_allocs = allocs_in(|| marshal::parse_document(&xml, &ty).unwrap());
-        xml_decode_max_allocs = xml_decode_max_allocs.max(dec_allocs);
-        if n == 1_000_000 {
-            xml_decode_1m_mbps = mbps(xml_bytes, d);
-        }
-        report(
-            &mut rows,
-            Row {
-                encoding: "xml",
-                op: "decode",
-                elems: n,
-                bytes: xml_bytes,
-                mbps: mbps(xml_bytes, d),
-                allocs: dec_allocs,
-            },
-        );
+        let key = |encoding, op| (encoding, "float_array", op, n, xml.len());
+        let mut encode = || marshal::value_to_xml(&value, "p");
+        let mut decode = || marshal::parse_document(&xml, &ty).unwrap();
+        let allocs = if n == xml_gate_size {
+            let b = xml.len();
+            xml_gated = rounds(|_| [rate(iters, b, &mut encode), rate(iters, b, &mut decode)]);
+            let m = |k: usize| median(xml_gated.iter().map(|r| r[k]));
+            t.row(key("xml", "encode"), m(0), encode);
+            t.row(key("xml", "decode"), m(1), decode)
+        } else {
+            t.measure(key("xml", "encode"), encode);
+            t.measure(key("xml", "decode"), decode)
+        };
+        xml_decode_max_allocs = allocs.max(xml_decode_max_allocs);
         let lz = sbq_lz::compress(xml.as_bytes());
-        let d = time_min(iters, || sbq_lz::compress(xml.as_bytes()));
-        report(
-            &mut rows,
-            Row {
-                encoding: "lzxml",
-                op: "encode",
-                elems: n,
-                bytes: lz.len(),
-                mbps: mbps(xml_bytes, d),
-                allocs: allocs_in(|| sbq_lz::compress(xml.as_bytes())),
-            },
-        );
-        let d = time_min(iters, || sbq_lz::decompress(&lz).unwrap());
-        report(
-            &mut rows,
-            Row {
-                encoding: "lzxml",
-                op: "decode",
-                elems: n,
-                bytes: lz.len(),
-                mbps: mbps(xml_bytes, d),
-                allocs: allocs_in(|| sbq_lz::decompress(&lz).unwrap()),
-            },
-        );
+        t.measure(key("lzxml", "encode"), || sbq_lz::compress(xml.as_bytes()));
+        t.measure(key("lzxml", "decode"), || sbq_lz::decompress(&lz).unwrap());
+    }
+
+    // -----------------------------------------------------------------
+    // A small array and a nested struct through every encoding: XML,
+    // PBIO (including big-endian 4-byte-int receiver-makes-right decode),
+    // XDR, and LZ over the array's XML.
+    // -----------------------------------------------------------------
+    println!();
+    let sparc_options = FormatOptions {
+        byte_order: ByteOrder::Big,
+        int_width: 4,
+        float_width: 8,
+    };
+    let int_array = (
+        workload::int_array(8192, 1),
+        TypeDesc::list_of(TypeDesc::Int),
+    );
+    let nested = (
+        workload::business_struct(6, 1),
+        workload::business_struct_type(6),
+    );
+    for (name, elems, (v, ty)) in [
+        ("int_array_8k", 8192, int_array),
+        ("business_struct_d6", 1, nested),
+    ] {
+        let xml = marshal::value_to_xml(&v, "p");
+        let native = FormatDesc::from_type(&ty, FormatOptions::default()).unwrap();
+        let sparc = FormatDesc::from_type(&ty, sparc_options).unwrap();
+        let pbio = plan::encode(&v, &native).unwrap();
+        let foreign = plan::encode(&v, &sparc).unwrap();
+        let convert = ConversionPlan::compile(&sparc, &native).unwrap();
+        let xdr = sbq_xdr::encode(&v, &ty).unwrap();
+        let lz = sbq_lz::compress(xml.as_bytes());
+        let key = |encoding, op, bytes: &[u8]| (encoding, name, op, elems, bytes.len());
+        t.measure(key("xml", "encode", xml.as_bytes()), || {
+            marshal::value_to_xml(&v, "p")
+        });
+        t.measure(key("xml", "decode", xml.as_bytes()), || {
+            marshal::parse_document(&xml, &ty).unwrap()
+        });
+        t.measure(key("pbio", "encode", &pbio), || {
+            plan::encode(&v, &native).unwrap()
+        });
+        t.measure(key("pbio", "decode", &pbio), || {
+            plan::decode(&pbio, &native).unwrap()
+        });
+        t.measure(key("pbio", "decode-rmr", &foreign), || {
+            convert.execute(&foreign).unwrap()
+        });
+        t.measure(key("xdr", "encode", &xdr), || {
+            sbq_xdr::encode(&v, &ty).unwrap()
+        });
+        t.measure(key("xdr", "decode", &xdr), || {
+            sbq_xdr::decode(&xdr, &ty).unwrap()
+        });
+        if elems > 1 {
+            t.measure(key("lzxml", "encode", xml.as_bytes()), || {
+                sbq_lz::compress(xml.as_bytes())
+            });
+            t.measure(key("lzxml", "decode", xml.as_bytes()), || {
+                sbq_lz::decompress(&lz).unwrap()
+            });
+        }
     }
 
     // -----------------------------------------------------------------
@@ -497,275 +474,87 @@ fn main() {
     // -----------------------------------------------------------------
     println!();
     let kn = 1_000_000usize;
-    for (w, op, op_scalar) in [
-        (2usize, "swap16", "swap16-scalar"),
-        (4, "swap32", "swap32-scalar"),
-        (8, "swap64", "swap64-scalar"),
-    ] {
+    for (w, op) in [(2usize, "swap16"), (4, "swap32"), (8, "swap64")] {
         let total = kn * w;
         let src: Vec<u8> = (0..total).map(|i| (i * 31) as u8).collect();
         let mut dst: Vec<u8> = Vec::with_capacity(total);
-        let d = time_min(iters, || {
-            simd::bswap(w, &src, &mut dst.spare_capacity_mut()[..total])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op,
-                elems: kn,
-                bytes: total,
-                mbps: mbps(total, d),
-                allocs: allocs_in(|| simd::bswap(w, &src, &mut dst.spare_capacity_mut()[..total])),
-            },
-        );
-        let d = time_min(iters, || {
-            simd::scalar::bswap(w, &src, &mut dst.spare_capacity_mut()[..total])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: op_scalar,
-                elems: kn,
-                bytes: total,
-                mbps: mbps(total, d),
-                allocs: 0,
-            },
-        );
+        let dst = &mut dst.spare_capacity_mut()[..total];
+        kernel_twins!(t, op, kn, total, bswap(w, &src, dst));
     }
-    {
-        // widen: 4-byte little-endian ints sign-extended to i64.
-        let src: Vec<u8> = (0..kn * 4).map(|i| (i * 17) as u8).collect();
-        let swap = !matches!(native_bo, ByteOrder::Little);
-        let mut dst: Vec<i64> = Vec::with_capacity(kn);
-        let d = time_min(iters, || {
-            simd::decode_i64(&src, 4, swap, &mut dst.spare_capacity_mut()[..kn])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "widen",
-                elems: kn,
-                bytes: src.len(),
-                mbps: mbps(src.len(), d),
-                allocs: 0,
-            },
-        );
-        let d = time_min(iters, || {
-            simd::scalar::decode_i64(&src, 4, swap, &mut dst.spare_capacity_mut()[..kn])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "widen-scalar",
-                elems: kn,
-                bytes: src.len(),
-                mbps: mbps(src.len(), d),
-                allocs: 0,
-            },
-        );
-        // f32 -> f64 widening loads of the same buffer.
-        let mut dstf: Vec<f64> = Vec::with_capacity(kn);
-        let d = time_min(iters, || {
-            simd::decode_f64(&src, 4, swap, &mut dstf.spare_capacity_mut()[..kn])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "f32_to_f64",
-                elems: kn,
-                bytes: src.len(),
-                mbps: mbps(src.len(), d),
-                allocs: 0,
-            },
-        );
-        let d = time_min(iters, || {
-            simd::scalar::decode_f64(&src, 4, swap, &mut dstf.spare_capacity_mut()[..kn])
-        });
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "f32_to_f64-scalar",
-                elems: kn,
-                bytes: src.len(),
-                mbps: mbps(src.len(), d),
-                allocs: 0,
-            },
-        );
-    }
-    {
-        // needs-escape scan over a 4 MB entity-free span (the common case
-        // the vectorized scan is built for).
-        let text = vec![b'a'; 4 << 20];
-        let d = time_min(iters, || simd::escape_scan(&text, false));
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "xml.escape_scan",
-                elems: text.len(),
-                bytes: text.len(),
-                mbps: mbps(text.len(), d),
-                allocs: 0,
-            },
-        );
-        let d = time_min(iters, || simd::scalar::escape_scan(&text, false));
-        report(
-            &mut rows,
-            Row {
-                encoding: "kernel",
-                op: "xml.escape_scan-scalar",
-                elems: text.len(),
-                bytes: text.len(),
-                mbps: mbps(text.len(), d),
-                allocs: 0,
-            },
-        );
-    }
+    // widen: 4-byte little-endian ints sign-extended to i64, then f32 ->
+    // f64 widening loads of the same buffer.
+    let src: Vec<u8> = (0..kn * 4).map(|i| (i * 17) as u8).collect();
+    let swap = !matches!(native_bo, ByteOrder::Little);
+    let mut ints: Vec<i64> = Vec::with_capacity(kn);
+    let ints = &mut ints.spare_capacity_mut()[..kn];
+    kernel_twins!(t, "widen", kn, src.len(), decode_i64(&src, 4, swap, ints));
+    let mut floats: Vec<f64> = Vec::with_capacity(kn);
+    let floats = &mut floats.spare_capacity_mut()[..kn];
+    kernel_twins!(
+        t,
+        "f32_to_f64",
+        kn,
+        src.len(),
+        decode_f64(&src, 4, swap, floats)
+    );
+    // needs-escape scan over a 4 MB entity-free span (the common case the
+    // vectorized scan is built for).
+    let text = vec![b'a'; 4 << 20];
+    kernel_twins!(
+        t,
+        "xml.escape_scan",
+        text.len(),
+        text.len(),
+        escape_scan(&text, false)
+    );
 
     // -----------------------------------------------------------------
-    // Self-checks
+    // Gates: each throughput gate reads the median of the interleaved
+    // rounds. Throughput gates are advisory under --short (CI
+    // contention) and enforced on full runs; the plan-ops and allocation
+    // gates are deterministic and enforced in both.
     // -----------------------------------------------------------------
     let reg = soap_binq::Registry::global();
     let bulk_ops = reg.counter("pbio.plan.bulk_ops").get();
     let scalar_ops = reg.counter("pbio.plan.scalar_ops").get();
-    println!("\npbio.plan.bulk_ops = {bulk_ops}, pbio.plan.scalar_ops = {scalar_ops}");
-    if bulk_ops == 0 {
-        eprintln!("self-check failed: pbio.plan.bulk_ops is zero — the bulk kernels never ran");
-        std::process::exit(1);
-    }
-
-    let speedup_enc = after_1m.0 / before_1m.0.max(1e-9);
-    let speedup_dec = after_1m.1 / before_1m.1.max(1e-9);
-    let combined = (after_1m.0 + after_1m.1) / (before_1m.0 + before_1m.1).max(1e-9);
-    let swap_speedup = swap_1m.0 / swap_1m.1.max(1e-9);
-    println!(
-        "1M f64 same-order: encode {:.0} -> {:.0} MB/s ({speedup_enc:.2}x), \
-         decode {:.0} -> {:.0} MB/s ({speedup_dec:.2}x), combined {combined:.2}x",
-        before_1m.0, after_1m.0, before_1m.1, after_1m.1
-    );
-    println!(
-        "1M f64 byteswapped decode: scalar {:.0} -> simd {:.0} MB/s ({swap_speedup:.2}x); \
-         xml encode {xml_encode_mbps:.0} MB/s",
-        swap_1m.1, swap_1m.0
-    );
-    println!(
-        "xml decode: {xml_decode_1m_mbps:.0} MB/s at 1M f64 (0 = not measured), \
-         at most {xml_decode_max_allocs} allocs/op"
-    );
-    let pool = marshal_pool();
-    let pool_stats = pool.stats();
-    let (pool_jobs, pool_steals, pool_chunks) = (
-        pool_stats.parallel_jobs.load(Ordering::Relaxed),
-        pool_stats.steals.load(Ordering::Relaxed),
-        pool_stats.parallel_chunks.load(Ordering::Relaxed),
-    );
-
-    let mut json = String::from("{\n  \"benchmark\": \"marshal\",\n");
-    json.push_str(&format!("  \"short\": {short},\n"));
-    json.push_str(&format!(
-        "  \"simd\": {{\"detected\": \"{}\", \"enabled\": \"{}\"}},\n",
-        simd::detected_level().name(),
-        simd::level().name()
-    ));
-    json.push_str(&format!(
-        "  \"pool\": {{\"threads\": {}, \"parallel_jobs\": {pool_jobs}, \
-         \"parallel_chunks\": {pool_chunks}, \"steals\": {pool_steals}}},\n",
-        pool.threads()
-    ));
-    json.push_str(&format!(
-        "  \"before_1m_f64\": {{\"encode_mbps\": {:.1}, \"decode_mbps\": {:.1}}},\n",
-        before_1m.0, before_1m.1
-    ));
-    json.push_str(&format!(
-        "  \"after_1m_f64\": {{\"encode_mbps\": {:.1}, \"decode_mbps\": {:.1}}},\n",
-        after_1m.0, after_1m.1
-    ));
-    json.push_str(&format!(
-        "  \"byteswap_1m_f64\": {{\"scalar_mbps\": {:.1}, \"simd_mbps\": {:.1}, \
-         \"speedup\": {swap_speedup:.2}}},\n",
-        swap_1m.1, swap_1m.0
-    ));
-    json.push_str(&format!("  \"xml_encode_mbps\": {xml_encode_mbps:.1},\n"));
-    json.push_str(&format!(
-        "  \"xml_decode\": {{\"mbps_1m_f64\": {xml_decode_1m_mbps:.1}, \
-         \"max_allocs_per_op\": {xml_decode_max_allocs}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"speedup\": {{\"encode\": {speedup_enc:.2}, \"decode\": {speedup_dec:.2}, \
-         \"combined\": {combined:.2}}},\n"
-    ));
-    json.push_str(&format!(
-        "  \"plan_ops\": {{\"bulk\": {bulk_ops}, \"scalar\": {scalar_ops}}},\n"
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"encoding\": \"{}\", \"op\": \"{}\", \"elems\": {}, \"bytes\": {}, \
-             \"mbps\": {:.1}, \"allocs_per_op\": {}}}{}\n",
-            r.encoding,
-            r.op,
-            r.elems,
-            r.bytes,
-            r.mbps,
-            r.allocs,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}");
-    std::fs::write("BENCH_marshal.json", format!("{json}\n")).expect("write bench json");
-    println!("wrote BENCH_marshal.json");
-
-    // Throughput gates: advisory under --short (CI contention), enforced
-    // on full runs. The byteswap gate compares the dispatched kernel to
-    // its scalar twin, so it only applies when a SIMD tier is live.
-    let mut gate_failed = false;
-    let mut gate = |ok: bool, msg: String| {
-        if ok {
-            return;
-        }
-        if short {
-            eprintln!("note: {msg} (advisory under --short)");
-        } else {
-            eprintln!("self-check failed: {msg}");
-            gate_failed = true;
-        }
+    // The bulk kernels actually ran: the numbers are not the scalar path.
+    report.gate("pbio_bulk_ops", bulk_ops as f64, Bound::Ge(1.0), true);
+    let combined = median(pbio_1m.iter().map(|r| (r[0] + r[1]) / (r[2] + r[3])));
+    report.gate("combined_speedup_1m_f64", combined, Bound::Ge(3.0), !short);
+    // Only a live SIMD tier has a kernel to set against its scalar twin.
+    let swap = match simd::level() {
+        simd::SimdLevel::Scalar => f64::NAN,
+        _ => median(swap_1m.iter().map(|r| r[0] / r[1])),
     };
-    gate(
-        combined >= 3.0,
-        format!("combined speedup {combined:.2}x < 3x"),
-    );
-    if simd::level() != simd::SimdLevel::Scalar {
-        gate(
-            swap_speedup >= 1.5,
-            format!("byteswapped 1M-f64 decode {swap_speedup:.2}x < 1.5x over the scalar kernel"),
-        );
-    }
-    gate(
-        xml_encode_mbps >= 400.0,
-        format!("xml encode {xml_encode_mbps:.0} MB/s < 400 MB/s (2x the pre-SIMD ~200 MB/s)"),
-    );
-    if !short {
-        gate(
-            xml_decode_1m_mbps >= 300.0,
-            format!(
-                "xml decode {xml_decode_1m_mbps:.0} MB/s < 300 MB/s at 1M f64 \
-                 (the event-only decode read 250-330 MB/s)"
-            ),
-        );
-    }
-    // Allocation counts do not depend on load, so this gate holds under
-    // --short too.
-    if xml_decode_max_allocs > 10 {
-        eprintln!("self-check failed: xml decode made {xml_decode_max_allocs} allocs/op (> 10)");
-        gate_failed = true;
-    }
-    if gate_failed {
-        std::process::exit(1);
-    }
+    report.gate("byteswap_speedup_1m_f64", swap, Bound::Ge(1.5), !short);
+    // 2x the pre-SIMD ~200 MB/s.
+    let xml_encode = median(xml_gated.iter().map(|r| r[0]));
+    report.gate("xml_encode_mbps", xml_encode, Bound::Ge(400.0), !short);
+    // The leaf fast path; the event-only decode it replaced read
+    // 250-330 MB/s. Under --short XML stops below 1M f64.
+    let xml_decode = if short {
+        f64::NAN
+    } else {
+        median(xml_gated.iter().map(|r| r[1]))
+    };
+    report.gate("xml_decode_1m_f64_mbps", xml_decode, Bound::Ge(300.0), true);
+    let allocs = xml_decode_max_allocs as f64;
+    report.gate("xml_decode_allocs_per_op", allocs, Bound::Le(10.0), true);
+
+    let pool = marshal_pool();
+    let stats = pool.stats();
+    let pool_json = Obj::new()
+        .put("threads", pool.threads())
+        .put("parallel_jobs", stats.parallel_jobs.load(Ordering::Relaxed))
+        .put(
+            "parallel_chunks",
+            stats.parallel_chunks.load(Ordering::Relaxed),
+        )
+        .put("steals", stats.steals.load(Ordering::Relaxed));
+    let plan_ops = Obj::new().put("bulk", bulk_ops).put("scalar", scalar_ops);
+    report.set("pool", pool_json);
+    report.set("plan_ops", plan_ops);
+    report.set("rounds", REPS);
+    report.set("rows", t.rows);
+    report.finish();
 }

@@ -17,10 +17,12 @@
 //!   band transition (degrade under load, recover after);
 //! * with admission on, overload-phase p99 time-to-answer is lower than
 //!   with admission off (shedding bounds tail latency instead of
-//!   queueing blindly).
+//!   queueing blindly), comparing the medians of five interleaved on/off
+//!   runs.
 //!
-//! Results (p50/p99 with admission on vs off, plus the fleet counters)
-//! go to `BENCH_qos.json`.
+//! Every admission-on run must pass the `/metrics` checks. Results
+//! (p50/p99 of each run with admission on and off, plus the fleet
+//! counters) and the gate verdicts go to `BENCH_qos.json`.
 //!
 //! ```sh
 //! cargo run --release -p sbq-bench --bin qos_fleet [-- --short]
@@ -29,15 +31,20 @@
 //! `--short` (or `BENCH_SHORT=1`) compresses the virtual timeline for CI
 //! smoke; the client population stays at fleet scale (2000+).
 
-use sbq_bench::{fmt_dur, header};
+use sbq_bench::loadgen::{self, Driver, Metrics, Next};
+use sbq_bench::report::{short_mode, Bound, Obj, Report};
+use sbq_bench::{fmt_dur, header, median};
 use sbq_model::{TypeDesc, Value};
 use sbq_netsim::FleetScenario;
 use sbq_qos::{FleetQos, QualityFile, QualityManager};
-use sbq_telemetry::{expo, Histogram, HistogramSnapshot, Registry};
+use sbq_telemetry::{HistogramSnapshot, Registry};
 use sbq_wsdl::ServiceDef;
 use soap_binq::envelope::{self, QosHeader};
 use soap_binq::{AdmissionPolicy, ServerConfig, SoapServerBuilder, WireEncoding};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Interleaved admission on/off runs behind the overload-tail gate.
+const REPS: usize = 5;
 
 const QUALITY_FILE: &str = "\
 attribute rtt
@@ -95,47 +102,22 @@ fn service() -> ServiceDef {
     )
 }
 
-struct FleetConn {
-    stream: std::net::TcpStream,
-    request: Vec<u8>,
-    out_pos: usize,
-    decoder: sbq_http::Decoder<sbq_http::Response>,
-    t0: Instant,
-    writing: bool,
-    done: bool,
-    /// Body bytes of the last response: the next round's RTT sample uses
-    /// it, closing the paper's adapt-to-congestion feedback loop (a
-    /// degraded payload really is cheaper to move).
-    last_resp_bytes: usize,
-    sheds: u64,
-}
-
 struct RunResult {
     all: HistogramSnapshot,
     overload: HistogramSnapshot,
     sheds: u64,
-    metrics: Vec<expo::Sample>,
-}
-
-/// Counter/gauge lookup in a parsed `/metrics` exposition.
-fn sample_value(samples: &[expo::Sample], name: &str) -> f64 {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.quantile.is_none())
-        .map(|s| s.value)
-        .unwrap_or(0.0)
+    metrics: Metrics,
 }
 
 fn run_fleet(
-    label: &str,
     admission_on: bool,
     mut scenario: FleetScenario,
     rounds: usize,
     dt: Duration,
-    reg: &Registry,
+    report: &mut Report,
 ) -> RunResult {
-    use sbq_runtime::reactor::{Interest, Reactor, Token};
-
+    let label = if admission_on { "on" } else { "off" };
+    let reg = Registry::new();
     let n = scenario.clients();
     let svc = service();
     let policy = if admission_on {
@@ -157,7 +139,7 @@ fn run_fleet(
         .with_fleet(
             FleetQos::new(QualityFile::parse(QUALITY_FILE).unwrap())
                 .capacity(2 * n)
-                .telemetry(reg),
+                .telemetry(&reg),
         )
         .admission_policy(policy)
         .transport(
@@ -169,33 +151,15 @@ fn run_fleet(
         .bind("127.0.0.1:0".parse().unwrap())
         .unwrap();
     let addr = server.addr();
+    let mut driver = report.require("fleet_connect", Driver::connect(addr, n, |_| {}));
 
-    let reactor = Reactor::new().expect("bench reactor");
-    let mut conns: Vec<FleetConn> = Vec::with_capacity(n);
-    for i in 0..n {
-        let stream = std::net::TcpStream::connect(addr).expect("fleet connect");
-        stream.set_nonblocking(true).expect("nonblocking");
-        let _ = stream.set_nodelay(true);
-        reactor
-            .register(&stream, Token(i as u64), Interest::NONE)
-            .expect("register fleet conn");
-        conns.push(FleetConn {
-            stream,
-            request: Vec::new(),
-            out_pos: 0,
-            decoder: sbq_http::Decoder::new(sbq_http::Limits::default()),
-            t0: Instant::now(),
-            writing: true,
-            done: true,
-            last_resp_bytes: 5000,
-            sheds: 0,
-        });
-    }
-
-    let hist: Histogram = reg.histogram(&format!("bench.fleet.{label}.call_ns"));
-    let hist_overload: Histogram = reg.histogram(&format!("bench.fleet.{label}.overload_ns"));
-    let pool = sbq_runtime::BufferPool::new();
-    let mut events = Vec::new();
+    let hist = reg.histogram(&format!("bench.fleet.{label}.call_ns"));
+    let hist_overload = reg.histogram(&format!("bench.fleet.{label}.overload_ns"));
+    // Body bytes of each client's last response: the next round's RTT
+    // sample uses it, closing the paper's adapt-to-congestion feedback
+    // loop (a degraded payload really is cheaper to move).
+    let mut last_resp_bytes = vec![5000usize; n];
+    let mut sheds = 0u64;
     let mut peak_seen = false;
     for round in 0..rounds {
         if round > 0 {
@@ -206,8 +170,8 @@ fn run_fleet(
         // Prepare every connection's request for this round: the
         // envelope reports the RTT the client just "measured" on its
         // access link.
-        for (i, c) in conns.iter_mut().enumerate() {
-            let rtt = scenario.sample_rtt(i, 400, c.last_resp_bytes, Duration::from_micros(200));
+        for (i, &bytes) in last_resp_bytes.iter().enumerate() {
+            let rtt = scenario.sample_rtt(i, 400, bytes, Duration::from_micros(200));
             let qos = QosHeader {
                 timestamp_us: 0,
                 rtt_ms: Some(rtt.as_secs_f64() * 1e3),
@@ -229,161 +193,73 @@ fn run_fleet(
                 req.headers
                     .push(("X-Idempotent".to_string(), "1".to_string()));
             }
-            c.request = req.to_bytes();
-            c.out_pos = 0;
-            c.decoder = sbq_http::Decoder::new(sbq_http::Limits::default());
-            c.writing = true;
-            c.done = false;
+            driver.set_request(i, req.to_bytes());
         }
         // A flash crowd is an *arrival* burst as much as a congested
         // backbone: couple how many clients fire at once to the
         // scenario load. Quiet phases trickle in 64-deep waves (the
         // 2-thread pool keeps up, nobody is shed); the peak slams all
         // clients in simultaneously, which is what actually overloads
-        // the server and triggers admission control.
+        // the server and triggers admission control. Each finished call
+        // frees a slot for the next waiting client.
         let wave_limit = ((64.0 + load * n as f64) as usize).clamp(1, n);
-        let mut cursor = 0usize;
-        while cursor < wave_limit {
-            let c = &mut conns[cursor];
-            c.t0 = Instant::now();
-            reactor
-                .reregister(&c.stream, Token(cursor as u64), Interest::WRITABLE)
-                .expect("arm fleet conn");
-            cursor += 1;
-        }
-        let mut pending = n;
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while pending > 0 {
-            if Instant::now() > deadline {
-                eprintln!("fleet round {round} stalled: {pending}/{n} still working");
-                std::process::exit(1);
+        let round_run = driver.run(wave_limit, |i, resp, elapsed| {
+            hist.record_duration(elapsed);
+            if overloaded_phase {
+                hist_overload.record_duration(elapsed);
             }
-            reactor
-                .poll(&mut events, Some(Duration::from_millis(100)))
-                .expect("fleet poll");
-            for ev in &events {
-                use std::io::{Read, Write};
-                let c = &mut conns[ev.token.0 as usize];
-                if c.done {
-                    continue;
-                }
-                let mut finished = false;
-                if ev.error {
-                    eprintln!("fleet connection {} errored", ev.token.0);
-                    std::process::exit(1);
-                }
-                loop {
-                    if c.writing {
-                        match c.stream.write(&c.request[c.out_pos..]) {
-                            Ok(0) => break,
-                            Ok(k) => {
-                                c.out_pos += k;
-                                if c.out_pos == c.request.len() {
-                                    c.writing = false;
-                                    reactor
-                                        .reregister(&c.stream, ev.token, Interest::READABLE)
-                                        .expect("reregister read");
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e) => {
-                                eprintln!("fleet write failed: {e}");
-                                std::process::exit(1);
-                            }
-                        }
-                    } else {
-                        let mut chunk = [0u8; 8192];
-                        match c.stream.read(&mut chunk) {
-                            Ok(0) => {
-                                eprintln!("fleet server closed a keep-alive connection early");
-                                std::process::exit(1);
-                            }
-                            Ok(k) => {
-                                let resp = c
-                                    .decoder
-                                    .feed(&chunk[..k], &pool)
-                                    .map(|_| c.decoder.take())
-                                    .unwrap_or_else(|e| {
-                                        eprintln!("fleet response malformed: {e}");
-                                        std::process::exit(1);
-                                    });
-                                if let Some(resp) = resp {
-                                    let dt = c.t0.elapsed();
-                                    hist.record_duration(dt);
-                                    if overloaded_phase {
-                                        hist_overload.record_duration(dt);
-                                    }
-                                    if resp.status == 503 {
-                                        c.sheds += 1;
-                                    } else {
-                                        c.last_resp_bytes = resp.wire_len().max(300);
-                                    }
-                                    pool.put(resp.body);
-                                    c.done = true;
-                                    reactor
-                                        .reregister(&c.stream, ev.token, Interest::NONE)
-                                        .expect("park fleet conn");
-                                    pending -= 1;
-                                    finished = true;
-                                    break;
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                            Err(e) => {
-                                eprintln!("fleet read failed: {e}");
-                                std::process::exit(1);
-                            }
-                        }
-                    }
-                }
-                // Wave pacing: a finished call frees a slot for the
-                // next waiting client.
-                if finished && cursor < n {
-                    let c = &mut conns[cursor];
-                    c.t0 = Instant::now();
-                    reactor
-                        .reregister(&c.stream, Token(cursor as u64), Interest::WRITABLE)
-                        .expect("arm fleet conn");
-                    cursor += 1;
-                }
+            if resp.status == 503 {
+                sheds += 1;
+            } else {
+                last_resp_bytes[i] = resp.wire_len().max(300);
             }
-        }
+            Next::Park
+        });
+        report.require(&format!("fleet_{label}.round_{round}"), round_run);
         // Narrate phase boundaries with the live band populations — the
         // congestion-phase shape of the paper's Figs. 8–9 at fleet scale.
         if (overloaded_phase && !peak_seen) || round + 1 == rounds {
             peak_seen = peak_seen || overloaded_phase;
             let pop = server.fleet().unwrap().band_population();
-            println!(
-                "  [{label}] round {round:>2} load {load:.2}: bands {pop:?}, sheds {}",
-                conns.iter().map(|c| c.sheds).sum::<u64>()
-            );
+            println!("  [{label}] round {round:>2} load {load:.2}: bands {pop:?}, sheds {sheds}");
         }
     }
 
     // Read the fleet's view from the live /metrics exposition.
-    let mut http = sbq_http::HttpClient::connect(addr).expect("connect for /metrics");
-    let resp = http
-        .send(sbq_http::Request::get("/metrics"))
-        .expect("GET /metrics");
-    assert_eq!(resp.status, 200, "/metrics status");
-    let text = String::from_utf8(resp.body).expect("metrics utf-8");
-    let metrics = expo::parse_text(&text).unwrap_or_else(|e| {
-        eprintln!("malformed /metrics exposition: {e}\n---\n{text}");
-        std::process::exit(1);
-    });
-
+    let metrics = report.require("fleet_metrics", loadgen::metrics(addr));
     RunResult {
         all: hist.snapshot(),
         overload: hist_overload.snapshot(),
-        sheds: conns.iter().map(|c| c.sheds).sum(),
+        sheds,
         metrics,
     }
 }
 
+fn fleet_json(r: &RunResult) -> Obj {
+    let mut obj = Obj::new()
+        .put("all", &r.all)
+        .put("overload", &r.overload)
+        .put("sheds", r.sheds);
+    for (key, metric) in [
+        ("fleet_shed", "qos_fleet_shed"),
+        ("fleet_degraded", "qos_fleet_degraded"),
+        ("fleet_evictions", "qos_fleet_evictions"),
+        ("band_switch_degrade", "qos_fleet_band_switch_degrade"),
+        ("band_switch_upgrade", "qos_fleet_band_switch_upgrade"),
+    ] {
+        obj.set(key, r.metrics.value(metric));
+    }
+    obj
+}
+
+/// The least value of `f` over `runs`.
+fn least(runs: &[RunResult], f: impl Fn(&RunResult) -> f64) -> f64 {
+    runs.iter().map(f).fold(f64::INFINITY, f64::min)
+}
+
 fn main() {
-    let short = std::env::args().any(|a| a == "--short") || std::env::var("BENCH_SHORT").is_ok();
+    let short = short_mode();
+    let mut report = Report::new("qos_fleet", "BENCH_qos.json", short);
     // Virtual timeline: the flash-crowd envelope spans 13 s of virtual
     // time; `--short` samples it coarsely. Five extra quiet rounds at the
     // end give the hysteresis its recovery confirmations.
@@ -405,95 +281,71 @@ fn main() {
 
     let scenario = FleetScenario::flash_crowd(n, 42);
     println!(
-        "fleet: {n} clients ({} rounds x {dt:?} virtual, 2-thread CPU pool)",
-        rounds
+        "fleet: {n} clients ({rounds} rounds x {dt:?} virtual, 2-thread CPU pool), \
+         {REPS} interleaved on/off runs"
     );
 
     header(
         "admission control",
-        &["mode", "p50", "p99", "overload p99", "sheds"],
+        &["run", "mode", "p50", "p99", "overload p99", "sheds"],
     );
-    let mut results = Vec::new();
-    for (label, on) in [("on", true), ("off", false)] {
-        let reg = Registry::new();
-        let r = run_fleet(label, on, scenario.clone(), rounds, dt, &reg);
-        println!(
-            "{label:>7} | {} | {} | {} | {}",
-            fmt_dur(Duration::from_nanos(r.all.quantile(0.5))),
-            fmt_dur(Duration::from_nanos(r.all.quantile(0.99))),
-            fmt_dur(Duration::from_nanos(r.overload.quantile(0.99))),
-            r.sheds,
-        );
-        results.push(r);
+    // Admission on and off alternate, and swap which goes first each
+    // round, so both modes see the same drift in host load; the tail gate
+    // compares their medians.
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        for admission_on in [rep % 2 == 0, rep % 2 == 1] {
+            let r = run_fleet(admission_on, scenario.clone(), rounds, dt, &mut report);
+            println!(
+                "{rep:>3} | {:>4} | {} | {} | {} | {}",
+                if admission_on { "on" } else { "off" },
+                fmt_dur(Duration::from_nanos(r.all.quantile(0.5))),
+                fmt_dur(Duration::from_nanos(r.all.quantile(0.99))),
+                fmt_dur(Duration::from_nanos(r.overload.quantile(0.99))),
+                r.sheds,
+            );
+            if admission_on { &mut on } else { &mut off }.push(r);
+        }
     }
-    let (on, off) = (&results[0], &results[1]);
 
-    // Self-checks: the flash crowd must actually exercise the fleet
-    // machinery, and shedding must bound the overload tail.
-    let mut failures = Vec::new();
-    let m = &on.metrics;
-    if sample_value(m, "qos_fleet_shed") < 1.0 {
-        failures.push("no calls shed (qos_fleet_shed == 0)".to_string());
-    }
-    if sample_value(m, "qos_fleet_band_switch_degrade") < 1.0 {
-        failures.push("no downward band transition under load".to_string());
-    }
-    if sample_value(m, "qos_fleet_band_switch_upgrade") < 1.0 {
-        failures.push("no upward band transition after recovery".to_string());
-    }
-    if sample_value(m, "qos_fleet_clients") < 1.0 {
-        failures.push("fleet tracked no clients".to_string());
+    // Self-checks: every admission-on run must exercise the fleet
+    // machinery, so each gate reads the least value over those runs.
+    for metric in [
+        "qos_fleet_shed",
+        "qos_fleet_band_switch_degrade",
+        "qos_fleet_band_switch_upgrade",
+        "qos_fleet_clients",
+    ] {
+        let value = least(&on, |r| r.metrics.value(metric));
+        report.gate(metric, value, Bound::Ge(1.0), true);
     }
     for band in 0..3 {
-        let name = format!("qos_fleet_band_{band}");
-        if !m.iter().any(|s| s.name == name) {
-            failures.push(format!("/metrics is missing the {name} gauge"));
-        }
+        let gauge = format!("qos_fleet_band_{band}");
+        let exposed = on.iter().all(|r| r.metrics.find(&gauge).is_some());
+        report.check(&format!("{gauge}_exposed"), exposed);
     }
-    if on.sheds < 1 {
-        failures.push("clients saw no 503s despite qos_fleet_shed".to_string());
-    }
-    let on_p99 = on.overload.quantile(0.99);
-    let off_p99 = off.overload.quantile(0.99);
-    if on_p99 >= off_p99 {
-        failures.push(format!(
-            "admission control did not bound the overload tail: p99 on={} off={}",
-            fmt_dur(Duration::from_nanos(on_p99)),
-            fmt_dur(Duration::from_nanos(off_p99)),
-        ));
-    }
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("self-check failed: {f}");
-        }
-        std::process::exit(1);
-    }
+    let sheds = least(&on, |r| r.sheds as f64);
+    report.gate("clients_saw_503", sheds, Bound::Ge(1.0), true);
+    // Shedding must bound the overload tail: the median admission-on
+    // overload p99 stays strictly below the median admission-off one.
+    let p99_ms =
+        |runs: &[RunResult]| median(runs.iter().map(|r| r.overload.quantile(0.99) as f64 / 1e6));
+    let (on_p99, off_p99) = (p99_ms(&on), p99_ms(&off));
+    report.gate("overload_p99_ms", on_p99, Bound::Lt(off_p99), true);
 
-    let fleet_json = |r: &RunResult| {
-        format!(
-            "{{\"all\":{},\"overload\":{},\"sheds\":{},\
-             \"fleet_shed\":{},\"fleet_degraded\":{},\"fleet_evictions\":{},\
-             \"band_switch_degrade\":{},\"band_switch_upgrade\":{}}}",
-            expo::histogram_json(&r.all),
-            expo::histogram_json(&r.overload),
-            r.sheds,
-            sample_value(&r.metrics, "qos_fleet_shed"),
-            sample_value(&r.metrics, "qos_fleet_degraded"),
-            sample_value(&r.metrics, "qos_fleet_evictions"),
-            sample_value(&r.metrics, "qos_fleet_band_switch_degrade"),
-            sample_value(&r.metrics, "qos_fleet_band_switch_upgrade"),
-        )
-    };
-    let json = format!(
-        "{{\"bench\":\"qos_fleet\",\"short\":{short},\"clients\":{n},\"rounds\":{rounds},\
-         \"unit\":\"ns\",\"admission_on\":{},\"admission_off\":{}}}",
-        fleet_json(on),
-        fleet_json(off)
+    report.set("clients", n);
+    report.set("rounds", rounds);
+    report.set("unit", "ns");
+    let medians = Obj::new().put("on", on_p99).put("off", off_p99);
+    report.set("median_overload_p99_ms", medians);
+    report.set(
+        "admission_on",
+        on.iter().map(fleet_json).collect::<Vec<_>>(),
     );
-    std::fs::write("BENCH_qos.json", format!("{json}\n")).expect("write bench json");
-    println!(
-        "\nwrote BENCH_qos.json; overload p99 {} (admission on) vs {} (off)",
-        fmt_dur(Duration::from_nanos(on_p99)),
-        fmt_dur(Duration::from_nanos(off_p99)),
+    report.set(
+        "admission_off",
+        off.iter().map(fleet_json).collect::<Vec<_>>(),
     );
+    println!("\nmedian overload p99 {on_p99:.2} ms (admission on) vs {off_p99:.2} ms (off)");
+    report.finish();
 }

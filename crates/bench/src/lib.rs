@@ -7,6 +7,9 @@
 //! deterministic link models (the substitution for the paper's physical
 //! 100 Mbps / ADSL testbed).
 
+pub mod loadgen;
+pub mod report;
+
 use sbq_http::Request;
 use sbq_model::Value;
 use sbq_netsim::LinkSpec;
@@ -42,16 +45,18 @@ pub fn time_min<T>(iters: usize, mut f: impl FnMut() -> T) -> Duration {
     best
 }
 
+/// The median of `xs` (the upper one of an even count).
+pub fn median(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let mut xs: Vec<f64> = xs.into_iter().collect();
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// HTTP framing overhead in bytes for a POST carrying `body_len` payload
 /// bytes (request side), as actually produced by the `sbq-http` client.
 pub fn http_request_overhead(body_len: usize) -> usize {
     let req = Request::post("/service", sbq_http::PBIO_CONTENT_TYPE, vec![0; body_len]);
     req.wire_len() - body_len
-}
-
-/// Approximate HTTP response framing overhead.
-pub fn http_response_overhead(body_len: usize) -> usize {
-    sbq_http::Response::ok(sbq_http::PBIO_CONTENT_TYPE, vec![0; body_len]).wire_len() - body_len
 }
 
 /// One-way simulated transfer time for `bytes` over a quiet `link`.
@@ -119,7 +124,6 @@ mod tests {
     fn overheads_are_plausible() {
         let o = http_request_overhead(1000);
         assert!((60..400).contains(&o), "{o}");
-        assert!(http_response_overhead(1000) < o);
     }
 
     #[test]

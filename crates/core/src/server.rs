@@ -18,7 +18,6 @@ use crate::SoapError;
 use sbq_http::{Admission, HttpServer, Request, Response, ServerConfig, ServerHandle};
 use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
 use sbq_qos::{FleetQos, QualityManager};
-use sbq_runtime::sync::Mutex;
 use sbq_telemetry::trace;
 use sbq_telemetry::{Counter, Phase, Registry, Tracer};
 use sbq_wsdl::{compile, CompiledService, ServiceDef, StubSpec};
@@ -26,6 +25,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 type Handler = Arc<dyn Fn(Value) -> Value + Send + Sync>;
@@ -500,7 +500,7 @@ impl ServerState {
             }
             None => {
                 if let (Some(q), Some(rtt)) = (&self.quality, qos.rtt_ms) {
-                    q.lock().observe_reported(rtt);
+                    q.lock().unwrap().observe_reported(rtt);
                 }
                 None
             }
@@ -523,11 +523,11 @@ impl ServerState {
                     f.fleet.note_degraded();
                 }
                 let rule = f.fleet.rule(band).clone();
-                let p = q.lock().apply_rule(&rule, Some(band), value);
+                let p = q.lock().unwrap().apply_rule(&rule, Some(band), value);
                 (p.value, Some(p.message_type), p.reduced)
             }
             (None, Some(q)) => {
-                let p = q.lock().prepare(value);
+                let p = q.lock().unwrap().prepare(value);
                 (p.value, Some(p.message_type), p.reduced)
             }
             _ => (value, None, false),
@@ -579,7 +579,7 @@ impl ServerState {
                     .compiled
                     .stub(&operation)
                     .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?;
-                let mut sessions = self.sessions.lock();
+                let mut sessions = self.sessions.lock().unwrap();
                 // A session we have never seen carries the PBIO format
                 // handshake in this request; time it as its own span.
                 let handshake = trace::current()
@@ -643,7 +643,7 @@ impl ServerState {
                 } else {
                     sbq_pbio::FormatDesc::from_type(&result.type_of(), Default::default())?
                 };
-                let mut sessions = self.sessions.lock();
+                let mut sessions = self.sessions.lock().unwrap();
                 let endpoint = sessions
                     .entry(session)
                     .or_insert_with(|| PbioEndpoint::new(Arc::clone(&self.format_server)));

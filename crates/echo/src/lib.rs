@@ -16,10 +16,10 @@
 //! * sinks receive events in submission order (per source).
 
 use sbq_model::{TypeDesc, Value};
-use sbq_runtime::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// Errors from channel operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,7 +76,7 @@ impl EchoBus {
 
     /// Creates a typed channel.
     pub fn create_channel(&self, name: &str, ty: TypeDesc) -> Result<(), EchoError> {
-        let mut map = self.channels.write();
+        let mut map = self.channels.write().unwrap();
         if map.contains_key(name) {
             return Err(EchoError::Exists(name.to_string()));
         }
@@ -95,6 +95,7 @@ impl EchoBus {
     fn get(&self, name: &str) -> Result<Arc<Channel>, EchoError> {
         self.channels
             .read()
+            .unwrap()
             .get(name)
             .cloned()
             .ok_or_else(|| EchoError::NoSuchChannel(name.to_string()))
@@ -107,7 +108,7 @@ impl EchoBus {
 
     /// Channel names, sorted.
     pub fn channel_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.channels.read().keys().cloned().collect();
+        let mut v: Vec<String> = self.channels.read().unwrap().keys().cloned().collect();
         v.sort();
         v
     }
@@ -116,7 +117,7 @@ impl EchoBus {
     pub fn subscribe(&self, name: &str) -> Result<Receiver<Value>, EchoError> {
         let ch = self.get(name)?;
         let (tx, rx) = channel();
-        ch.sinks.write().push(tx);
+        ch.sinks.write().unwrap().push(tx);
         Ok(rx)
     }
 
@@ -132,7 +133,7 @@ impl EchoBus {
     ) -> Result<(), EchoError> {
         let p = self.get(parent)?;
         self.create_channel(name, ty)?;
-        p.derived.write().push((filter, name.to_string()));
+        p.derived.write().unwrap().push((filter, name.to_string()));
         Ok(())
     }
 
@@ -149,9 +150,12 @@ impl EchoBus {
         ch.submitted
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         // Fan out to sinks, dropping disconnected ones.
-        ch.sinks.write().retain(|tx| tx.send(event.clone()).is_ok());
+        ch.sinks
+            .write()
+            .unwrap()
+            .retain(|tx| tx.send(event.clone()).is_ok());
         // Feed derived channels.
-        let derived = ch.derived.read().clone();
+        let derived = ch.derived.read().unwrap().clone();
         for (filter, dname) in derived {
             if let Some(out) = filter(&event) {
                 // Recursive submission applies the derived channel's own

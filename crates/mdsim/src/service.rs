@@ -8,11 +8,11 @@ use crate::graph::BondGraph;
 use crate::sim::Molecule;
 use sbq_model::{TypeDesc, Value};
 use sbq_qos::{QualityAttributes, QualityFile, QualityManager};
-use sbq_runtime::sync::Mutex;
 use sbq_wsdl::ServiceDef;
 use soap_binq::{SoapServer, SoapServerBuilder, WireEncoding};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Schema of a batched response: up to four per-timestep graphs.
 pub fn batch_type() -> TypeDesc {
@@ -98,7 +98,7 @@ impl BondServer {
     /// Produces the next `count` timesteps as a batch value, advancing
     /// the simulation.
     pub fn next_batch(&self, count: usize) -> Value {
-        let mut m = self.molecule.lock();
+        let mut m = self.molecule.lock().unwrap();
         let mut graphs = Vec::with_capacity(count);
         for _ in 0..count.max(1) {
             m.run(self.steps_per_frame);

@@ -22,10 +22,10 @@ use crate::format::FormatDesc;
 use crate::server::{FormatDirectory, FormatServer};
 use crate::PbioError;
 use sbq_http::{HttpClient, HttpServer, Request, Response, ServerHandle};
-use sbq_runtime::sync::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::{Mutex, RwLock};
 
 /// Serves a format server over HTTP. Returns the listening handle (the
 /// address is `handle.addr()`).
@@ -96,7 +96,7 @@ impl RemoteFormatServer {
     fn request(&self, req: Request) -> Result<Response, PbioError> {
         self.consultations
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut guard = self.http.lock();
+        let mut guard = self.http.lock().unwrap();
         // One reconnect attempt on a dead keep-alive connection.
         for attempt in 0..2 {
             if guard.is_none() {
@@ -121,7 +121,7 @@ impl RemoteFormatServer {
 
 impl FormatDirectory for RemoteFormatServer {
     fn register(&self, desc: &FormatDesc) -> Result<u32, PbioError> {
-        if let Some(&id) = self.ids.read().get(desc) {
+        if let Some(&id) = self.ids.read().unwrap().get(desc) {
             return Ok(id);
         }
         let req = Request::post("/register", "application/octet-stream", desc.to_bytes());
@@ -137,21 +137,21 @@ impl FormatDirectory for RemoteFormatServer {
             .ok()
             .and_then(|s| s.trim().parse().ok())
             .ok_or_else(|| PbioError::Directory("unparseable register response".into()))?;
-        self.ids.write().insert(desc.clone(), id);
-        self.descs.write().insert(id, desc.clone());
+        self.ids.write().unwrap().insert(desc.clone(), id);
+        self.descs.write().unwrap().insert(id, desc.clone());
         Ok(id)
     }
 
     fn lookup(&self, id: u32) -> Result<Option<FormatDesc>, PbioError> {
-        if let Some(d) = self.descs.read().get(&id) {
+        if let Some(d) = self.descs.read().unwrap().get(&id) {
             return Ok(Some(d.clone()));
         }
         let resp = self.request(Request::get(&format!("/format/{id}")))?;
         match resp.status {
             200 => {
                 let desc = FormatDesc::from_bytes(&resp.body)?;
-                self.descs.write().insert(id, desc.clone());
-                self.ids.write().insert(desc.clone(), id);
+                self.descs.write().unwrap().insert(id, desc.clone());
+                self.ids.write().unwrap().insert(desc.clone(), id);
                 Ok(Some(desc))
             }
             404 => Ok(None),

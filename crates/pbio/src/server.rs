@@ -9,9 +9,9 @@
 
 use crate::format::FormatDesc;
 use crate::PbioError;
-use sbq_runtime::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::RwLock;
 
 /// Anything that can act as the deployment's format registry: the
 /// in-process [`FormatServer`], or [`crate::remote::RemoteFormatServer`]
@@ -50,7 +50,7 @@ impl FormatServer {
     /// format again returns the existing id (idempotent).
     pub fn register(&self, desc: &FormatDesc) -> u32 {
         self.registrations.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap();
         if let Some(&id) = inner.by_desc.get(desc) {
             return id;
         }
@@ -65,12 +65,12 @@ impl FormatServer {
     /// server").
     pub fn lookup(&self, id: u32) -> Option<FormatDesc> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        self.inner.read().by_id.get(&id).cloned()
+        self.inner.read().unwrap().by_id.get(&id).cloned()
     }
 
     /// Number of distinct formats registered.
     pub fn len(&self) -> usize {
-        self.inner.read().by_id.len()
+        self.inner.read().unwrap().by_id.len()
     }
 
     /// Whether no formats are registered.

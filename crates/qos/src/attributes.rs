@@ -1,8 +1,8 @@
 //! Quality attributes and the `update_attribute()` API (§III-B.c/d).
 
-use sbq_runtime::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// A shared, thread-safe map of named quality attributes.
 ///
@@ -26,12 +26,12 @@ impl QualityAttributes {
 
     /// Sets (or creates) an attribute — the paper's `update_attribute()`.
     pub fn update_attribute(&self, name: &str, value: f64) {
-        self.inner.write().insert(name.to_string(), value);
+        self.inner.write().unwrap().insert(name.to_string(), value);
     }
 
     /// Reads an attribute.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.inner.read().get(name).copied()
+        self.inner.read().unwrap().get(name).copied()
     }
 
     /// Reads an attribute, defaulting when unset.
@@ -41,12 +41,12 @@ impl QualityAttributes {
 
     /// Removes an attribute, returning its last value.
     pub fn remove(&self, name: &str) -> Option<f64> {
-        self.inner.write().remove(name)
+        self.inner.write().unwrap().remove(name)
     }
 
     /// Snapshot of all attributes (for logging/diagnostics).
     pub fn snapshot(&self) -> HashMap<String, f64> {
-        self.inner.read().clone()
+        self.inner.read().unwrap().clone()
     }
 }
 

@@ -12,9 +12,9 @@
 
 use crate::attributes::QualityAttributes;
 use sbq_model::Value;
-use sbq_runtime::sync::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// A message transformation parameterised by the current quality
 /// attributes.
@@ -55,17 +55,18 @@ impl HandlerRegistry {
     pub fn install(&self, name: &str, handler: impl QualityHandler + 'static) {
         self.inner
             .write()
+            .unwrap()
             .insert(name.to_string(), Arc::new(handler));
     }
 
     /// Removes a handler.
     pub fn remove(&self, name: &str) -> bool {
-        self.inner.write().remove(name).is_some()
+        self.inner.write().unwrap().remove(name).is_some()
     }
 
     /// Fetches a handler by name.
     pub fn get(&self, name: &str) -> Option<Arc<dyn QualityHandler>> {
-        self.inner.read().get(name).cloned()
+        self.inner.read().unwrap().get(name).cloned()
     }
 
     /// Applies the named handler, or returns the value unchanged when no
@@ -80,7 +81,7 @@ impl HandlerRegistry {
 
     /// Names of installed handlers (sorted, for diagnostics).
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.read().keys().cloned().collect();
+        let mut v: Vec<String> = self.inner.read().unwrap().keys().cloned().collect();
         v.sort();
         v
     }

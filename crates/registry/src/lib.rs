@@ -15,12 +15,12 @@
 
 use sbq_model::{TypeDesc, Value};
 use sbq_qos::{QualityFile, QualityManager};
-use sbq_runtime::sync::RwLock;
 use sbq_wsdl::{parse_wsdl, ServiceDef, WsdlError};
 use soap_binq::{SoapClient, SoapServer, SoapServerBuilder, WireEncoding};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::RwLock;
 
 /// A published entry: the WSDL text and (optionally) the quality file
 /// text that accompanies it.
@@ -126,7 +126,7 @@ impl RegistryServer {
                 if !quality.is_empty() && QualityFile::parse(&quality).is_err() {
                     return None;
                 }
-                entries.write().insert(
+                entries.write().unwrap().insert(
                     name.clone(),
                     RegistryEntry {
                         name,
@@ -142,7 +142,7 @@ impl RegistryServer {
         let entries = Arc::clone(&self.entries);
         builder = builder.handle("lookup", move |req| {
             let name = req.as_str().unwrap_or_default();
-            match entries.read().get(name) {
+            match entries.read().unwrap().get(name) {
                 Some(e) => Value::struct_of(
                     "registry_result",
                     vec![
@@ -163,7 +163,7 @@ impl RegistryServer {
         });
         let entries = Arc::clone(&self.entries);
         builder = builder.handle("list", move |_| {
-            let mut names: Vec<String> = entries.read().keys().cloned().collect();
+            let mut names: Vec<String> = entries.read().unwrap().keys().cloned().collect();
             names.sort();
             Value::List(names.into_iter().map(Value::Str).collect())
         });

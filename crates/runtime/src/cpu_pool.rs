@@ -18,10 +18,9 @@
 //! fields across cores; [`PoolStats`] exposes `steals` and
 //! `parallel_jobs` counters for telemetry.
 
-use crate::sync::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -49,7 +48,7 @@ pub struct CpuPool {
 /// exit after draining the ones already queued.
 #[derive(Default)]
 struct JobQueue {
-    state: std::sync::Mutex<QueueState>,
+    state: Mutex<QueueState>,
     ready: Condvar,
 }
 
@@ -115,13 +114,13 @@ struct ParallelJob {
 
 fn work(job: &ParallelJob, slot: usize) {
     loop {
-        let mut next = job.deques[slot].lock().pop_front();
+        let mut next = job.deques[slot].lock().unwrap().pop_front();
         if next.is_none() {
             // Own deque dry: steal from the *back* of a victim's deque
             // (opposite end from the owner, minimizing contention).
             for off in 1..job.deques.len() {
                 let victim = (slot + off) % job.deques.len();
-                if let Some(i) = job.deques[victim].lock().pop_back() {
+                if let Some(i) = job.deques[victim].lock().unwrap().pop_back() {
                     job.stats.steals.fetch_add(1, Ordering::Relaxed);
                     next = Some(i);
                     break;
@@ -218,7 +217,7 @@ impl CpuPool {
             f,
         });
         for i in 0..chunks {
-            job.deques[i % slots].lock().push_back(i);
+            job.deques[i % slots].lock().unwrap().push_back(i);
         }
         for slot in 1..slots {
             let job = Arc::clone(&job);

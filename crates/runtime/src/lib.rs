@@ -3,11 +3,9 @@
 //! The reproduction must build and test on machines with no crates.io
 //! access (the paper-era toolchain assumption, and the offline-first rule
 //! in ROADMAP.md), so the few external utility crates the workspace used
-//! to pull in are replaced by these std-only equivalents:
+//! to pull in are replaced by these std-only equivalents (locks are plain
+//! `std::sync`):
 //!
-//! * [`sync`] — [`Mutex`]/[`RwLock`] with `parking_lot`-style guards
-//!   (locking never returns a `Result`; a poisoned lock propagates the
-//!   original panic instead of surfacing `PoisonError` at every caller).
 //! * [`rand`] — a small, seedable, splittable PRNG (SplitMix64 core) for
 //!   deterministic jitter, loss, and fuzz-test generation.
 //! * [`pool`] — a sharded, size-classed [`BufferPool`] so steady-state
@@ -29,10 +27,8 @@ pub mod pool;
 pub mod rand;
 pub mod reactor;
 pub mod simd;
-pub mod sync;
 
 pub use cpu_pool::CpuPool;
 pub use pool::BufferPool;
 pub use rand::SmallRng;
 pub use reactor::{raise_nofile_limit, DeadlineWheel, Reactor};
-pub use sync::{Mutex, RwLock};

@@ -24,8 +24,8 @@
 //!   [`PoolObserver`] mirrors them into an external metrics registry
 //!   (`pool.buffers.{hit,miss,held_bytes}` in sbq-telemetry).
 
-use crate::sync::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::sync::{Arc, OnceLock};
 
 /// Smallest pooled capacity (class 0).
@@ -179,7 +179,7 @@ impl BufferPool {
         let home = thread_shard();
         for i in 0..NUM_SHARDS {
             let shard = &self.inner.shards[(home + i) % NUM_SHARDS];
-            if let Some(mut buf) = shard.lock().classes[class].pop() {
+            if let Some(mut buf) = shard.lock().unwrap().classes[class].pop() {
                 self.note_held(-(buf.capacity() as i64));
                 self.note_hit();
                 buf.clear();
@@ -202,7 +202,7 @@ impl BufferPool {
         let held = buf.capacity() as i64;
         let shard = &self.inner.shards[thread_shard()];
         {
-            let mut guard = shard.lock();
+            let mut guard = shard.lock().unwrap();
             let list = &mut guard.classes[class];
             if list.len() >= self.inner.per_class_cap {
                 drop(guard);

@@ -86,7 +86,8 @@ pub(crate) fn render_text(inner: &RegistryInner) -> String {
     out
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal.
+pub fn json_escape(s: &str) -> String {
     // Registered names are sanitized to [A-Za-z0-9._-], but escape anyway
     // so this writer is safe for any caller.
     let mut out = String::with_capacity(s.len());

@@ -21,12 +21,12 @@ use crate::render::render_svg;
 use sbq_echo::EchoBus;
 use sbq_mdsim::BondGraph;
 use sbq_model::{TypeDesc, Value};
-use sbq_runtime::sync::{Mutex, RwLock};
 use sbq_wsdl::{write_wsdl, ServiceDef};
 use soap_binq::{marshal, SoapServer, SoapServerBuilder, WireEncoding};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::{Mutex, RwLock};
 
 /// A parsed filter specification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,7 +148,7 @@ impl ServicePortal {
         std::thread::spawn(move || {
             for event in rx.iter() {
                 if let Some(g) = BondGraph::from_value(&event) {
-                    *slot.lock() = Some(g);
+                    *slot.lock().unwrap() = Some(g);
                 }
             }
         });
@@ -161,7 +161,7 @@ impl ServicePortal {
     /// Renders one frame for a filter spec (or installed filter name) and
     /// output format (`svg` or `xml`).
     pub fn frame(&self, filter: &str, format: &str) -> String {
-        let graph = self.latest.lock().clone().unwrap_or(BondGraph {
+        let graph = self.latest.lock().unwrap().clone().unwrap_or(BondGraph {
             timestep: 0,
             elements: vec![],
             positions: vec![],
@@ -170,6 +170,7 @@ impl ServicePortal {
         let spec = self
             .filters
             .read()
+            .unwrap()
             .get(filter)
             .cloned()
             .or_else(|| FilterSpec::parse(filter))
@@ -186,7 +187,7 @@ impl ServicePortal {
     pub fn install_filter(&self, name: &str, spec: &str) -> bool {
         match FilterSpec::parse(spec) {
             Some(f) => {
-                self.filters.write().insert(name.to_string(), f);
+                self.filters.write().unwrap().insert(name.to_string(), f);
                 true
             }
             None => false,
