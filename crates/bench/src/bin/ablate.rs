@@ -182,8 +182,9 @@ fn main() {
     let f = FormatDesc::from_type(&ty, paper_format_options()).unwrap();
     let v = workload::business_struct(4, 1);
     let bytes = plan::encode(&v, &f).unwrap();
+    let decoder = ConversionPlan::identity(&f);
     let cpu = time_min(20, || plan::encode(&v, &f).unwrap())
-        + time_min(20, || plan::decode(&bytes, &f).unwrap());
+        + time_min(20, || decoder.execute(&bytes).unwrap());
     let wire = bytes.len() + 9 + http_request_overhead(bytes.len());
     let persistent = cpu + transfer(&link, wire);
     let per_call = persistent + 3 * link.latency;

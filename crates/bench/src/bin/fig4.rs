@@ -12,7 +12,7 @@
 use sbq_bench::*;
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_netsim::LinkSpec;
-use sbq_pbio::{plan, FormatDesc};
+use sbq_pbio::{plan, ConversionPlan, FormatDesc};
 use sbq_xdr::rpc;
 use std::time::Duration;
 
@@ -34,7 +34,8 @@ fn run_case(name: &str, value: &Value, ty: &TypeDesc, link: &LinkSpec, iters: us
     // SOAP-bin: PBIO encode + HTTP(setup + framed transfer) + decode.
     let pb_enc = time_min(iters, || plan::encode(value, &format).unwrap());
     let pb_bytes = plan::encode(value, &format).unwrap();
-    let pb_dec = time_min(iters, || plan::decode(&pb_bytes, &format).unwrap());
+    let decoder = ConversionPlan::identity(&format);
+    let pb_dec = time_min(iters, || decoder.execute(&pb_bytes).unwrap());
     let http_wire = http_request_overhead(pb_bytes.len()) + 9 + pb_bytes.len();
     let sb_total = pb_enc + http_setup(link) + transfer(link, http_wire) + pb_dec;
 

@@ -5,7 +5,7 @@
 use sbq_bench::*;
 use sbq_model::{workload, TypeDesc};
 use sbq_netsim::LinkSpec;
-use sbq_pbio::{plan, FormatDesc};
+use sbq_pbio::{plan, ConversionPlan, FormatDesc};
 use soap_binq::marshal;
 
 fn main() {
@@ -57,7 +57,8 @@ fn main() {
 
             let pb_enc = time_min(iters, || plan::encode(&v, &format).unwrap());
             let pbio = plan::encode(&v, &format).unwrap();
-            let pb_dec = time_min(iters, || plan::decode(&pbio, &format).unwrap());
+            let decoder = ConversionPlan::identity(&format);
+            let pb_dec = time_min(iters, || decoder.execute(&pbio).unwrap());
             let pb_cpu = pb_enc + pb_dec;
             let pb_total =
                 pb_cpu + transfer(&link, pbio.len() + 9 + http_request_overhead(pbio.len()));

@@ -5,7 +5,7 @@
 use sbq_bench::*;
 use sbq_model::workload;
 use sbq_netsim::LinkSpec;
-use sbq_pbio::{plan, FormatDesc};
+use sbq_pbio::{plan, ConversionPlan, FormatDesc};
 use soap_binq::marshal;
 
 fn main() {
@@ -54,8 +54,9 @@ fn main() {
             plan::encode(&native, &format).unwrap()
         });
         let pbio = plan::encode(&marshal::parse_document(&xml, &ty).unwrap(), &format).unwrap();
+        let decoder = ConversionPlan::identity(&format);
         let conv_out = time_min(iters, || {
-            let native = plan::decode(&pbio, &format).unwrap();
+            let native = decoder.execute(&pbio).unwrap();
             marshal::value_to_xml(&native, "p")
         });
         let cpu = conv_in + conv_out;

@@ -432,6 +432,7 @@ fn main() {
         let sparc = FormatDesc::from_type(&ty, sparc_options).unwrap();
         let pbio = plan::encode(&v, &native).unwrap();
         let foreign = plan::encode(&v, &sparc).unwrap();
+        let identity = ConversionPlan::identity(&native);
         let convert = ConversionPlan::compile(&sparc, &native).unwrap();
         let xdr = sbq_xdr::encode(&v, &ty).unwrap();
         let lz = sbq_lz::compress(xml.as_bytes());
@@ -446,7 +447,7 @@ fn main() {
             plan::encode(&v, &native).unwrap()
         });
         t.measure(key("pbio", "decode", &pbio), || {
-            plan::decode(&pbio, &native).unwrap()
+            identity.execute(&pbio).unwrap()
         });
         t.measure(key("pbio", "decode-rmr", &foreign), || {
             convert.execute(&foreign).unwrap()

@@ -9,7 +9,7 @@
 use sbq_bench::*;
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_netsim::LinkSpec;
-use sbq_pbio::{plan, FormatDesc};
+use sbq_pbio::{plan, ConversionPlan, FormatDesc};
 use soap_binq::marshal;
 
 fn main() {
@@ -73,7 +73,8 @@ fn main() {
 
         let enc_t = time_min(4, || plan::encode(&v, &format).unwrap());
         let pbio = plan::encode(&v, &format).unwrap();
-        let dec_t = time_min(4, || plan::decode(&pbio, &format).unwrap());
+        let decoder = ConversionPlan::identity(&format);
+        let dec_t = time_min(4, || decoder.execute(&pbio).unwrap());
         let bin_cpu = enc_t + dec_t;
         let bin_wire = pbio.len() + 9 + http_request_overhead(pbio.len());
         let bin_total = bin_cpu + transfer(&link, bin_wire);

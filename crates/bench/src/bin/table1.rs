@@ -17,7 +17,7 @@
 use sbq_airline::{catering_event_type, CateringEvent, Dataset};
 use sbq_bench::*;
 use sbq_netsim::LinkSpec;
-use sbq_pbio::{plan, FormatDesc};
+use sbq_pbio::{plan, ConversionPlan, FormatDesc};
 use soap_binq::marshal;
 use std::time::Duration;
 
@@ -65,8 +65,9 @@ fn main() {
 
     // SOAP-bin: PBIO payload over HTTP.
     let pbio = plan::encode(&value, &format).unwrap();
+    let decoder = ConversionPlan::identity(&format);
     let cpu = time_min(iters, || plan::encode(&value, &format).unwrap())
-        + time_min(iters, || plan::decode(&pbio, &format).unwrap());
+        + time_min(iters, || decoder.execute(&pbio).unwrap());
     rows.push((
         "SOAP-bin".into(),
         pbio.len(),
@@ -76,7 +77,7 @@ fn main() {
 
     // Native PBIO: same payload, raw framed messages, no HTTP.
     let cpu = time_min(iters, || plan::encode(&value, &format).unwrap())
-        + time_min(iters, || plan::decode(&pbio, &format).unwrap());
+        + time_min(iters, || decoder.execute(&pbio).unwrap());
     rows.push(("Native PBIO".into(), pbio.len(), cpu, pbio.len() + 9));
 
     // Compressed-XML SOAP.

@@ -146,8 +146,10 @@ fn pbio_and_xml_transport_agree() {
         let mut s = rng.next_u64();
         let v = sample(&ty, &mut s);
         let format = sbq_pbio::FormatDesc::from_type(&ty, Default::default()).unwrap();
-        let via_pbio =
-            sbq_pbio::plan::decode(&sbq_pbio::plan::encode(&v, &format).unwrap(), &format).unwrap();
+        let wire = sbq_pbio::plan::encode(&v, &format).unwrap();
+        let via_pbio = sbq_pbio::ConversionPlan::identity(&format)
+            .execute(&wire)
+            .unwrap();
         let via_xml = marshal::parse_document(&marshal::value_to_xml(&v, "p"), &ty).unwrap();
         assert_eq!(via_pbio, via_xml);
     }

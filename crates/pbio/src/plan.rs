@@ -342,9 +342,6 @@ fn encode_field(
     Ok(())
 }
 
-/// Bulk int-array kernel: one `resize`, then a `chunks_exact_mut` pass the
-/// optimizer turns into memcpy (native order) or a vectorized byte swap.
-/// Narrow widths take the low (LE) / high (BE) bytes of each element.
 /// Bulk int-array encode: the SIMD dispatch layer packs straight into
 /// the output `Vec`'s reserved spare capacity (written exactly once, no
 /// staging copy and no zero-fill), splitting across the marshal pool
@@ -738,11 +735,6 @@ fn fuse_ops(wire: &FormatDesc, actions: Vec<SlotAction>) -> Vec<PlanOp> {
     ops
 }
 
-/// Decodes a whole payload in `desc` layout (identity conversion).
-pub fn decode(payload: &[u8], desc: &FormatDesc) -> Result<Value, PbioError> {
-    ConversionPlan::identity(desc).execute(payload)
-}
-
 /// Verifies a matched (wire, native) field pair is convertible: same
 /// kind, any width/byte order. Rejecting kind mismatches here keeps a
 /// peer with the wrong IDL from smuggling a value of one type into a
@@ -1070,6 +1062,11 @@ mod tests {
 
     fn fmt(ty: &TypeDesc, opts: FormatOptions) -> FormatDesc {
         FormatDesc::from_type(ty, opts).unwrap()
+    }
+
+    /// Identity decode through a freshly compiled plan.
+    fn decode(payload: &[u8], desc: &FormatDesc) -> Result<Value, PbioError> {
+        ConversionPlan::identity(desc).execute(payload)
     }
 
     #[test]

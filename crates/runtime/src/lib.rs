@@ -17,10 +17,11 @@
 //! * [`cpu_pool`] — a small fixed [`CpuPool`] for the CPU-bound half of
 //!   that split (handler and marshal work dispatched off the event loop),
 //!   with a work-stealing `run_parallel` for splitting bulk marshal work.
-//! * [`simd`] — explicit SSE2/AVX2 bulk kernels (byte swap, widen,
-//!   `f32`↔`f64`, escape scanning) behind one-time latched feature
-//!   detection, with bit-exact scalar fallbacks and an `SBQ_NO_SIMD`
-//!   override.
+//! * [`simd`] — bulk marshal kernels (byte swap, widen, `f32`↔`f64`,
+//!   narrowing encode): one portable body each, compiled at the baseline
+//!   and for AVX2 and picked by one-time latched feature detection, plus
+//!   an intrinsic escape scan, with bit-exact scalar references and an
+//!   `SBQ_NO_SIMD` override.
 
 pub mod cpu_pool;
 pub mod pool;

@@ -1,39 +1,41 @@
-//! Explicit-SIMD bulk kernels for the marshal hot path.
+//! Bulk conversion kernels for the marshal hot path.
 //!
-//! The conversion-plan bulk kernels (byte swap, sign-extending widen,
-//! `f32`→`f64`) and the XML escape scanner bottom out here. Each kernel
-//! exists in up to three tiers:
+//! Receiver-makes-right conversion (byte swap, sign-extending widen,
+//! `f32`⇄`f64`, narrowing encode) and the XML escape scanner bottom out
+//! here. Each conversion kernel has one portable body: a `chunks_exact`
+//! pass over `from_ne_bytes`/`swap_bytes` that LLVM vectorizes for the
+//! instruction set it compiles for. The body is compiled once per tier:
 //!
-//! | tier     | instruction set      | kernels                              |
-//! |----------|----------------------|--------------------------------------|
-//! | `Scalar` | portable Rust        | everything (the reference semantics) |
-//! | `Sse2`   | SSE2 (x86-64 baseline) | `escape_scan`, 16/32/64-bit byte swap |
-//! | `Avx2`   | AVX2                 | all of the above 32 bytes at a time, plus widen/convert |
+//! | tier     | conversion kernels                          | `escape_scan`   |
+//! |----------|---------------------------------------------|-----------------|
+//! | `Scalar` | [`scalar`], the byte-loop reference         | [`scalar`]      |
+//! | `Sse2`   | the portable body at the x86-64 baseline    | SSE2 intrinsics |
+//! | `Avx2`   | the same body under `target_feature(avx2)`  | AVX2 intrinsics |
 //!
 //! The tier is chosen **once per process**: [`level`] consults
 //! `is_x86_feature_detected!` (and the `SBQ_NO_SIMD` environment override)
 //! on first use and latches the answer in an atomic, so the hot path pays
-//! one relaxed load, not a CPUID. Every SIMD kernel has a scalar twin with
-//! identical bit-for-bit semantics; the parity property tests in this
-//! module and in `sbq-pbio` hold the two together across widths, byte
-//! orders, misaligned inputs, and vector-boundary lengths.
+//! one relaxed load, not a CPUID. The parity tests in this module and in
+//! `sbq-pbio` hold every instantiation to the [`scalar`] reference, bit for
+//! bit, across widths, byte orders, misaligned buffers and vector-boundary
+//! lengths; Miri interprets the baseline bodies.
 //!
-//! Large destinations additionally switch the 64-bit swap kernel to
-//! non-temporal (streaming) stores: a multi-megabyte decode writes each
-//! cache line exactly once without first reading it for ownership, which
-//! is worth ~1.5x on payloads that outgrow the last-level cache.
+//! Hand-written intrinsics remain only where they measure faster: the
+//! escape scan, which exits at the first hit (a search LLVM does not
+//! vectorize), and on AVX2 the byte swaps into destinations of at least
+//! 4 MiB (`bswap` and the 8-byte swapped `decode_*`), whose non-temporal
+//! stores write each cache line once without reading it for ownership.
 //!
 //! # Safety model
 //!
-//! All public kernels are safe functions over slices; lengths are checked
-//! at the boundary (`assert!`/`debug_assert!` plus explicit remainders).
-//! The `unsafe` inside is confined to (a) calling `#[target_feature]`
-//! functions after the latched runtime detection proved the feature is
-//! present, and (b) raw-pointer loads/stores that stay inside the slice
-//! bounds established by the surrounding chunk arithmetic. Destinations
-//! are `MaybeUninit` slices so decode can fill freshly reserved `Vec`
-//! capacity without a zeroing pass; every kernel writes every element of
-//! `dst` before returning (the contract `set_len` callers rely on).
+//! All public kernels are safe functions over slices whose lengths are
+//! asserted at the boundary. `unsafe` is confined to calling
+//! `#[target_feature]` code after the latched detection proved the feature
+//! present, the intrinsics' pointer loads and stores inside the chunk they
+//! operate on, and one byte view of a typed destination. Destinations are
+//! `MaybeUninit` slices so decode can fill freshly reserved `Vec` capacity
+//! without a zeroing pass; every kernel writes every element of `dst`
+//! before returning (the contract `set_len` callers rely on).
 
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -121,9 +123,10 @@ pub fn level() -> SimdLevel {
     l
 }
 
-/// Destinations at or above this many bytes use non-temporal stores in
-/// the 64-bit swap kernel (past LLC-resident sizes, write-allocate
-/// traffic costs more than it saves).
+/// Byte-swap destinations at or above this many bytes use non-temporal
+/// stores on AVX2 (past LLC-resident sizes, write-allocate traffic costs
+/// more than it saves).
+#[cfg(target_arch = "x86_64")]
 const NT_THRESHOLD: usize = 4 << 20;
 
 // ---------------------------------------------------------------------------
@@ -251,280 +254,200 @@ pub mod scalar {
     }
 }
 
-// ---------------------------------------------------------------------------
-// x86-64 kernels
-// ---------------------------------------------------------------------------
+/// The one implementation of each conversion kernel, `#[inline(always)]`
+/// so each caller compiles its own copy for its target features: the
+/// public entry points at the baseline (the `Sse2` tier on x86-64) and
+/// [`avx2`] under AVX2. Callers have asserted the slice lengths.
+mod body {
+    use super::MaybeUninit;
 
+    /// `f` of each `W`-byte chunk of `src` into the matching `dst` element.
+    #[inline(always)]
+    fn from_chunks<const W: usize, T>(
+        src: &[u8],
+        dst: &mut [MaybeUninit<T>],
+        f: impl Fn([u8; W]) -> T,
+    ) {
+        for (&c, d) in src.as_chunks().0.iter().zip(dst) {
+            d.write(f(c));
+        }
+    }
+
+    /// `f` of each `src` element into the matching `W`-byte chunk of `dst`.
+    #[inline(always)]
+    fn to_chunks<S: Copy, const W: usize>(
+        src: &[S],
+        dst: &mut [MaybeUninit<u8>],
+        f: impl Fn(S) -> [u8; W],
+    ) {
+        for (&s, d) in src.iter().zip(dst.chunks_exact_mut(W)) {
+            d.write_copy_of_slice(&f(s));
+        }
+    }
+
+    #[inline(always)]
+    pub fn bswap(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+        match width {
+            2 => to_chunks(src.as_chunks().0, dst, |b| {
+                u16::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+            }),
+            4 => to_chunks(src.as_chunks().0, dst, |b| {
+                u32::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+            }),
+            8 => to_chunks(src.as_chunks().0, dst, |b| {
+                u64::from_ne_bytes(b).swap_bytes().to_ne_bytes()
+            }),
+            _ => unreachable!("bswap widths are 2, 4, 8"),
+        }
+    }
+
+    #[inline(always)]
+    pub fn decode_i64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<i64>]) {
+        match (width, swap) {
+            (1, _) => from_chunks(src, dst, |[b]| b as i8 as i64),
+            (2, false) => from_chunks(src, dst, |b| i16::from_ne_bytes(b) as i64),
+            (2, true) => from_chunks(src, dst, |b| i16::from_ne_bytes(b).swap_bytes() as i64),
+            (4, false) => from_chunks(src, dst, |b| i32::from_ne_bytes(b) as i64),
+            (4, true) => from_chunks(src, dst, |b| i32::from_ne_bytes(b).swap_bytes() as i64),
+            (8, false) => from_chunks(src, dst, i64::from_ne_bytes),
+            (8, true) => from_chunks(src, dst, |b| i64::from_ne_bytes(b).swap_bytes()),
+            _ => unreachable!("int widths are 1, 2, 4, 8"),
+        }
+    }
+
+    #[inline(always)]
+    pub fn decode_f64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<f64>]) {
+        match (width, swap) {
+            (4, false) => from_chunks(src, dst, |b| f32::from_ne_bytes(b) as f64),
+            (4, true) => from_chunks(src, dst, |b| {
+                f32::from_bits(u32::from_ne_bytes(b).swap_bytes()) as f64
+            }),
+            (8, false) => from_chunks(src, dst, f64::from_ne_bytes),
+            (8, true) => from_chunks(src, dst, |b| {
+                f64::from_bits(u64::from_ne_bytes(b).swap_bytes())
+            }),
+            _ => unreachable!("float widths are 4 or 8"),
+        }
+    }
+
+    #[inline(always)]
+    pub fn encode_i64(src: &[i64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
+        match (width, swap) {
+            (1, _) => to_chunks(src, dst, |x| [x as u8]),
+            (2, false) => to_chunks(src, dst, |x| (x as i16).to_ne_bytes()),
+            (2, true) => to_chunks(src, dst, |x| (x as i16).swap_bytes().to_ne_bytes()),
+            (4, false) => to_chunks(src, dst, |x| (x as i32).to_ne_bytes()),
+            (4, true) => to_chunks(src, dst, |x| (x as i32).swap_bytes().to_ne_bytes()),
+            (8, false) => to_chunks(src, dst, i64::to_ne_bytes),
+            (8, true) => to_chunks(src, dst, |x| x.swap_bytes().to_ne_bytes()),
+            _ => unreachable!("int widths are 1, 2, 4, 8"),
+        }
+    }
+
+    #[inline(always)]
+    pub fn encode_f64(src: &[f64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
+        match (width, swap) {
+            (4, false) => to_chunks(src, dst, |x| (x as f32).to_ne_bytes()),
+            (4, true) => to_chunks(src, dst, |x| {
+                (x as f32).to_bits().swap_bytes().to_ne_bytes()
+            }),
+            (8, false) => to_chunks(src, dst, f64::to_ne_bytes),
+            (8, true) => to_chunks(src, dst, |x| x.to_bits().swap_bytes().to_ne_bytes()),
+            _ => unreachable!("float widths are 4 or 8"),
+        }
+    }
+}
+
+/// The portable bodies compiled for AVX2. Callers must have detected AVX2
+/// (the latched [`level`]). Byte swaps into destinations of at least
+/// [`NT_THRESHOLD`] bytes take the streaming loop instead.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{body, uninit_bytes, x86::bswap_stream, MaybeUninit, NT_THRESHOLD};
+
+    #[target_feature(enable = "avx2")]
+    pub fn bswap(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+        if src.len() >= NT_THRESHOLD {
+            return bswap_stream(width, src, dst);
+        }
+        body::bswap(width, src, dst)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn decode_i64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<i64>]) {
+        if width == 8 && swap && src.len() >= NT_THRESHOLD {
+            return bswap_stream(8, src, uninit_bytes(dst));
+        }
+        body::decode_i64(src, width, swap, dst)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn decode_f64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<f64>]) {
+        if width == 8 && swap && src.len() >= NT_THRESHOLD {
+            return bswap_stream(8, src, uninit_bytes(dst));
+        }
+        body::decode_f64(src, width, swap, dst)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn encode_i64(src: &[i64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
+        body::encode_i64(src, width, swap, dst)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub fn encode_f64(src: &[f64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
+        body::encode_f64(src, width, swap, dst)
+    }
+}
+
+/// `dst` as raw bytes, for the streaming swap. Sound for any `T`:
+/// `MaybeUninit<u8>` has no validity requirement; both cover one range.
+#[cfg(target_arch = "x86_64")]
+fn uninit_bytes<T>(dst: &mut [MaybeUninit<T>]) -> &mut [MaybeUninit<u8>] {
+    let len = std::mem::size_of_val(dst);
+    // SAFETY: same allocation and byte length; u8 has alignment 1.
+    unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast(), len) }
+}
+
+/// The hand-written intrinsics: the streaming swap and the escape scans.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::MaybeUninit;
     use std::arch::x86_64::*;
 
-    /// 32-byte shuffle mask reversing each 8-byte lane-local group.
-    const BSWAP64_MASK: [u8; 32] = [
-        7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8, //
-        7, 6, 5, 4, 3, 2, 1, 0, 15, 14, 13, 12, 11, 10, 9, 8,
-    ];
-    const BSWAP32_MASK: [u8; 32] = [
-        3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12, //
-        3, 2, 1, 0, 7, 6, 5, 4, 11, 10, 9, 8, 15, 14, 13, 12,
-    ];
-    const BSWAP16_MASK: [u8; 32] = [
-        1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14, //
-        1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 13, 12, 15, 14,
-    ];
-
-    /// AVX2 byte swap: 32 source bytes per iteration through
-    /// `vpshufb`; the remainder (< 32 bytes) runs the scalar kernel.
-    /// When `stream` is set the main loop uses non-temporal stores
-    /// (dst is first advanced scalar-wise to 32-byte alignment).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support. Slice bounds are enforced
-    /// by the assertions; every `dst` byte is written.
+    /// AVX2 byte swap with non-temporal stores, 32 bytes per `vpshufb`.
+    /// The portable body swaps the head up to a 32-byte aligned `dst` and
+    /// the tail of under 32 bytes; when `dst` cannot reach that alignment
+    /// on an element boundary, it swaps everything.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn bswap_avx2(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>], stream: bool) {
+    pub fn bswap_stream(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
         assert_eq!(src.len(), dst.len());
         assert!(src.len().is_multiple_of(width));
-        let mask = unsafe {
-            _mm256_loadu_si256(match width {
-                8 => BSWAP64_MASK.as_ptr().cast(),
-                4 => BSWAP32_MASK.as_ptr().cast(),
-                2 => BSWAP16_MASK.as_ptr().cast(),
-                _ => unreachable!("bswap widths are 2, 4, 8"),
-            })
-        };
-        let mut i = 0usize;
-        let n = src.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        if stream {
-            // Scalar prologue until dst is 32-byte aligned (element
-            // alignment preserved because widths divide 32).
-            let mis = dp.align_offset(32);
-            if mis != 0 && mis < n {
-                let head = mis.next_multiple_of(width).min(n);
-                super::scalar::bswap(width, &src[..head], &mut dst[..head]);
-                i = head;
-            }
-            if dp.wrapping_add(i).align_offset(32) == 0 {
-                while i + 32 <= n {
-                    // SAFETY: i+32 <= n bounds both slices; dst+i is
-                    // 32-byte aligned per the prologue.
-                    unsafe {
-                        let v = _mm256_loadu_si256(sp.add(i).cast());
-                        _mm256_stream_si256(dp.add(i).cast(), _mm256_shuffle_epi8(v, mask));
-                    }
-                    i += 32;
-                }
-                // Make the streamed bytes globally visible before the
-                // caller reads them back.
-                _mm_sfence();
-            }
+        let head = dst.as_ptr().align_offset(32);
+        if head >= src.len() || !head.is_multiple_of(width) {
+            return super::body::bswap(width, src, dst);
         }
-        while i + 32 <= n {
-            // SAFETY: i+32 <= n bounds both the load and the store.
+        // `vpshufb` indexes within each 16-byte lane, and reversing a
+        // power-of-two-wide element flips the low bits of the index.
+        let mask: [u8; 32] = std::array::from_fn(|i| ((i % 16) ^ (width - 1)) as u8);
+        // SAFETY: `mask` is 32 readable bytes.
+        let mask = unsafe { _mm256_loadu_si256(mask.as_ptr().cast()) };
+        let (src_head, src) = src.split_at(head);
+        let (dst_head, dst) = dst.split_at_mut(head);
+        super::body::bswap(width, src_head, dst_head);
+        let blocks = src.len() / 32 * 32;
+        for (s, d) in src[..blocks].chunks_exact(32).zip(dst.chunks_exact_mut(32)) {
+            // SAFETY: each chunk is 32 bytes, and `d` is 32-byte aligned
+            // because `dst` starts aligned and every chunk is 32 bytes.
             unsafe {
-                let v = _mm256_loadu_si256(sp.add(i).cast());
-                _mm256_storeu_si256(dp.add(i).cast(), _mm256_shuffle_epi8(v, mask));
+                let v = _mm256_loadu_si256(s.as_ptr().cast());
+                _mm256_stream_si256(d.as_mut_ptr().cast(), _mm256_shuffle_epi8(v, mask));
             }
-            i += 32;
         }
-        if i < n {
-            super::scalar::bswap(width, &src[i..], &mut dst[i..]);
-        }
-    }
-
-    /// SSE2 byte swap (no `pshufb`): 16-bit halves swapped with shifts,
-    /// wider elements additionally word-shuffled.
-    ///
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline; slice bounds are asserted.
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn bswap_sse2(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
-        assert_eq!(src.len(), dst.len());
-        assert!(src.len().is_multiple_of(width));
-        let mut i = 0usize;
-        let n = src.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        while i + 16 <= n {
-            // SAFETY: i+16 <= n bounds both the load and the store.
-            unsafe {
-                let v = _mm_loadu_si128(sp.add(i).cast());
-                // Swap bytes within each 16-bit word.
-                let w = _mm_or_si128(_mm_srli_epi16(v, 8), _mm_slli_epi16(v, 8));
-                let out = match width {
-                    2 => w,
-                    4 => {
-                        // Swap 16-bit words within each 32-bit element.
-                        let lo = _mm_shufflelo_epi16(w, 0b10_11_00_01);
-                        _mm_shufflehi_epi16(lo, 0b10_11_00_01)
-                    }
-                    8 => {
-                        // Reverse the four 16-bit words of each 64-bit lane.
-                        let lo = _mm_shufflelo_epi16(w, 0b00_01_10_11);
-                        _mm_shufflehi_epi16(lo, 0b00_01_10_11)
-                    }
-                    _ => unreachable!("bswap widths are 2, 4, 8"),
-                };
-                _mm_storeu_si128(dp.add(i).cast(), out);
-            }
-            i += 16;
-        }
-        if i < n {
-            super::scalar::bswap(width, &src[i..], &mut dst[i..]);
-        }
-    }
-
-    /// AVX2 sign-extending widen of 4-byte ints to `i64` (with optional
-    /// pre-swap), 4 elements per iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2. Bounds asserted; every element of
-    /// `dst` is written.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn widen_i32_avx2(src: &[u8], swap: bool, dst: &mut [MaybeUninit<i64>]) {
-        assert_eq!(src.len(), dst.len() * 4);
-        let n = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<i64>();
-        let mask128: __m128i = unsafe { _mm_loadu_si128(BSWAP32_MASK.as_ptr().cast()) };
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: (i+4)*4 <= src.len() and i+4 <= dst.len().
-            unsafe {
-                let mut v = _mm_loadu_si128(sp.add(i * 4).cast());
-                if swap {
-                    v = _mm_shuffle_epi8(v, mask128);
-                }
-                _mm256_storeu_si256(dp.add(i).cast(), _mm256_cvtepi32_epi64(v));
-            }
-            i += 4;
-        }
-        if i < n {
-            super::scalar::decode_i64(&src[i * 4..], 4, swap, &mut dst[i..]);
-        }
-    }
-
-    /// AVX2 sign-extending widen of 2-byte ints to `i64`, 4 per iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2. Bounds asserted.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn widen_i16_avx2(src: &[u8], swap: bool, dst: &mut [MaybeUninit<i64>]) {
-        assert_eq!(src.len(), dst.len() * 2);
-        let n = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<i64>();
-        let mask128: __m128i = unsafe { _mm_loadu_si128(BSWAP16_MASK.as_ptr().cast()) };
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: 8-byte load at src[i*2..i*2+8] is in bounds since
-            // (i+4)*2 <= src.len(); store of 4 i64 in bounds likewise.
-            unsafe {
-                let mut v = _mm_loadl_epi64(sp.add(i * 2).cast());
-                if swap {
-                    v = _mm_shuffle_epi8(v, mask128);
-                }
-                _mm256_storeu_si256(dp.add(i).cast(), _mm256_cvtepi16_epi64(v));
-            }
-            i += 4;
-        }
-        if i < n {
-            super::scalar::decode_i64(&src[i * 2..], 2, swap, &mut dst[i..]);
-        }
-    }
-
-    /// AVX2 `f32`→`f64` widen (with optional pre-swap), 4 per iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2. Bounds asserted.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn widen_f32_avx2(src: &[u8], swap: bool, dst: &mut [MaybeUninit<f64>]) {
-        assert_eq!(src.len(), dst.len() * 4);
-        let n = dst.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<f64>();
-        let mask128: __m128i = unsafe { _mm_loadu_si128(BSWAP32_MASK.as_ptr().cast()) };
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: (i+4)*4 <= src.len(); i+4 <= dst.len().
-            unsafe {
-                let mut v = _mm_loadu_si128(sp.add(i * 4).cast());
-                if swap {
-                    v = _mm_shuffle_epi8(v, mask128);
-                }
-                _mm256_storeu_pd(dp.add(i), _mm256_cvtps_pd(_mm_castsi128_ps(v)));
-            }
-            i += 4;
-        }
-        if i < n {
-            super::scalar::decode_f64(&src[i * 4..], 4, swap, &mut dst[i..]);
-        }
-    }
-
-    /// AVX2 `f64`→`f32` narrowing encode (with optional post-swap), 4 per
-    /// iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2. Bounds asserted.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn narrow_f64_avx2(src: &[f64], swap: bool, dst: &mut [MaybeUninit<u8>]) {
-        assert_eq!(dst.len(), src.len() * 4);
-        let n = src.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        let mask128: __m128i = unsafe { _mm_loadu_si128(BSWAP32_MASK.as_ptr().cast()) };
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i+4 <= n bounds the load; (i+4)*4 <= dst.len().
-            unsafe {
-                let v = _mm256_loadu_pd(sp.add(i));
-                let mut f = _mm_castps_si128(_mm256_cvtpd_ps(v));
-                if swap {
-                    f = _mm_shuffle_epi8(f, mask128);
-                }
-                _mm_storeu_si128(dp.add(i * 4).cast(), f);
-            }
-            i += 4;
-        }
-        if i < n {
-            super::scalar::encode_f64(&src[i..], 4, swap, &mut dst[i * 4..]);
-        }
-    }
-
-    /// AVX2 `i64`→`i32` narrowing encode (truncating, optional swap), 4
-    /// per iteration.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2. Bounds asserted.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn narrow_i64_i32_avx2(src: &[i64], swap: bool, dst: &mut [MaybeUninit<u8>]) {
-        assert_eq!(dst.len(), src.len() * 4);
-        let n = src.len();
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr().cast::<u8>();
-        let mask128: __m128i = unsafe { _mm_loadu_si128(BSWAP32_MASK.as_ptr().cast()) };
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i+4 <= n bounds the load; (i+4)*4 <= dst.len().
-            unsafe {
-                let v = _mm256_loadu_si256(sp.add(i).cast());
-                // Gather the low dword of each qword into the low half.
-                let shuffled = _mm256_shuffle_epi32(v, 0b11_01_10_00);
-                let packed = _mm256_permute4x64_epi64(shuffled, 0b11_01_10_00);
-                let mut lo = _mm256_castsi256_si128(packed);
-                if swap {
-                    lo = _mm_shuffle_epi8(lo, mask128);
-                }
-                _mm_storeu_si128(dp.add(i * 4).cast(), lo);
-            }
-            i += 4;
-        }
-        if i < n {
-            super::scalar::encode_i64(&src[i..], 4, swap, &mut dst[i * 4..]);
-        }
+        // Make the streamed bytes globally visible before the caller
+        // reads them back.
+        _mm_sfence();
+        super::body::bswap(width, &src[blocks..], &mut dst[blocks..]);
     }
 
     /// AVX2 escape scan: 32 bytes per `vpcmpeqb`+`vpmovmskb` round.
@@ -608,135 +531,50 @@ mod x86 {
 // Dispatched entry points
 // ---------------------------------------------------------------------------
 
-/// Byte-swaps `width`-byte (2/4/8) elements from `src` into `dst`
-/// (`src.len() == dst.len()`, a multiple of `width`). Large copies use
-/// non-temporal stores on AVX2.
-pub fn bswap(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
-    #[cfg(target_arch = "x86_64")]
-    match level() {
-        // SAFETY: the latched level proved the feature is available.
-        SimdLevel::Avx2 => {
-            return unsafe { x86::bswap_avx2(width, src, dst, src.len() >= NT_THRESHOLD) }
+/// Runs `kernel` at the latched tier: the [`scalar`] reference, the AVX2
+/// instantiation, or the portable body at the baseline.
+macro_rules! dispatch {
+    ($kernel:ident($($arg:expr),*)) => {
+        match level() {
+            SimdLevel::Scalar => scalar::$kernel($($arg),*),
+            // SAFETY: the latched level is `Avx2` only where AVX2 was detected.
+            #[cfg(target_arch = "x86_64")]
+            SimdLevel::Avx2 => unsafe { avx2::$kernel($($arg),*) },
+            _ => body::$kernel($($arg),*),
         }
-        SimdLevel::Sse2 => return unsafe { x86::bswap_sse2(width, src, dst) },
-        SimdLevel::Scalar => {}
-    }
-    scalar::bswap(width, src, dst);
+    };
+}
+
+/// Byte-swaps `width`-byte (2/4/8) elements from `src` into `dst`
+/// (`src.len() == dst.len()`, a multiple of `width`).
+pub fn bswap(width: usize, src: &[u8], dst: &mut [MaybeUninit<u8>]) {
+    assert_eq!(src.len(), dst.len());
+    assert!(src.len().is_multiple_of(width));
+    dispatch!(bswap(width, src, dst))
 }
 
 /// Decodes `width`-byte (1/2/4/8) sign-extended wire integers into `dst`.
 pub fn decode_i64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<i64>]) {
     assert_eq!(src.len(), dst.len() * width);
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        match width {
-            8 => {
-                // Width-8 is a straight copy or a 64-bit swap; reuse the
-                // byte-swap kernel over the reinterpreted destination.
-                let bytes = cast_uninit_bytes_i64(dst);
-                if swap {
-                    // SAFETY: level() proved AVX2.
-                    unsafe { x86::bswap_avx2(8, src, bytes, src.len() >= NT_THRESHOLD) };
-                } else {
-                    copy_bytes(src, bytes);
-                }
-                return;
-            }
-            // SAFETY: level() proved AVX2.
-            4 => return unsafe { x86::widen_i32_avx2(src, swap, dst) },
-            2 => return unsafe { x86::widen_i16_avx2(src, swap, dst) },
-            _ => {}
-        }
-    }
-    if width == 8 && !swap {
-        copy_bytes(src, cast_uninit_bytes_i64(dst));
-        return;
-    }
-    scalar::decode_i64(src, width, swap, dst);
+    dispatch!(decode_i64(src, width, swap, dst))
 }
 
 /// Decodes `width`-byte (4/8) wire floats into `dst`.
 pub fn decode_f64(src: &[u8], width: usize, swap: bool, dst: &mut [MaybeUninit<f64>]) {
     assert_eq!(src.len(), dst.len() * width);
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        match width {
-            8 => {
-                let bytes = cast_uninit_bytes_f64(dst);
-                if swap {
-                    // SAFETY: level() proved AVX2.
-                    unsafe { x86::bswap_avx2(8, src, bytes, src.len() >= NT_THRESHOLD) };
-                } else {
-                    copy_bytes(src, bytes);
-                }
-                return;
-            }
-            // SAFETY: level() proved AVX2.
-            4 => return unsafe { x86::widen_f32_avx2(src, swap, dst) },
-            _ => {}
-        }
-    }
-    if width == 8 && !swap {
-        copy_bytes(src, cast_uninit_bytes_f64(dst));
-        return;
-    }
-    scalar::decode_f64(src, width, swap, dst);
+    dispatch!(decode_f64(src, width, swap, dst))
 }
 
 /// Encodes `i64`s as `width`-byte (1/2/4/8) wire integers into `dst`.
 pub fn encode_i64(src: &[i64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
     assert_eq!(dst.len(), src.len() * width);
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        match width {
-            8 => {
-                let bytes = cast_i64_bytes(src);
-                if swap {
-                    // SAFETY: level() proved AVX2.
-                    unsafe { x86::bswap_avx2(8, bytes, dst, bytes.len() >= NT_THRESHOLD) };
-                } else {
-                    copy_bytes(bytes, dst);
-                }
-                return;
-            }
-            // SAFETY: level() proved AVX2.
-            4 => return unsafe { x86::narrow_i64_i32_avx2(src, swap, dst) },
-            _ => {}
-        }
-    }
-    if width == 8 && !swap {
-        copy_bytes(cast_i64_bytes(src), dst);
-        return;
-    }
-    scalar::encode_i64(src, width, swap, dst);
+    dispatch!(encode_i64(src, width, swap, dst))
 }
 
 /// Encodes `f64`s as `width`-byte (4/8) wire floats into `dst`.
 pub fn encode_f64(src: &[f64], width: usize, swap: bool, dst: &mut [MaybeUninit<u8>]) {
     assert_eq!(dst.len(), src.len() * width);
-    #[cfg(target_arch = "x86_64")]
-    if level() == SimdLevel::Avx2 {
-        match width {
-            8 => {
-                let bytes = cast_f64_bytes(src);
-                if swap {
-                    // SAFETY: level() proved AVX2.
-                    unsafe { x86::bswap_avx2(8, bytes, dst, bytes.len() >= NT_THRESHOLD) };
-                } else {
-                    copy_bytes(bytes, dst);
-                }
-                return;
-            }
-            // SAFETY: level() proved AVX2.
-            4 => return unsafe { x86::narrow_f64_avx2(src, swap, dst) },
-            _ => {}
-        }
-    }
-    if width == 8 && !swap {
-        copy_bytes(cast_f64_bytes(src), dst);
-        return;
-    }
-    scalar::encode_f64(src, width, swap, dst);
+    dispatch!(encode_f64(src, width, swap, dst))
 }
 
 /// Index of the first byte needing XML escaping (`&`, `<`, `>`, plus `"`
@@ -750,45 +588,6 @@ pub fn escape_scan(bytes: &[u8], attr: bool) -> usize {
         SimdLevel::Scalar => {}
     }
     scalar::escape_scan(bytes, attr)
-}
-
-// ---------------------------------------------------------------------------
-// Reinterpret helpers
-// ---------------------------------------------------------------------------
-
-/// `&mut [MaybeUninit<i64>]` viewed as its raw bytes. Sound because
-/// `MaybeUninit<u8>` has no validity requirements and the two views cover
-/// exactly the same memory.
-fn cast_uninit_bytes_i64(dst: &mut [MaybeUninit<i64>]) -> &mut [MaybeUninit<u8>] {
-    // SAFETY: same allocation, length scaled by size_of::<i64>(); u8 has
-    // alignment 1.
-    unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast(), dst.len() * 8) }
-}
-
-/// `&mut [MaybeUninit<f64>]` viewed as its raw bytes.
-fn cast_uninit_bytes_f64(dst: &mut [MaybeUninit<f64>]) -> &mut [MaybeUninit<u8>] {
-    // SAFETY: as above.
-    unsafe { std::slice::from_raw_parts_mut(dst.as_mut_ptr().cast(), dst.len() * 8) }
-}
-
-/// `&[i64]` viewed as initialized bytes.
-fn cast_i64_bytes(src: &[i64]) -> &[u8] {
-    // SAFETY: i64 has no padding; every byte is initialized.
-    unsafe { std::slice::from_raw_parts(src.as_ptr().cast(), src.len() * 8) }
-}
-
-/// `&[f64]` viewed as initialized bytes.
-fn cast_f64_bytes(src: &[f64]) -> &[u8] {
-    // SAFETY: f64 has no padding; every byte is initialized.
-    unsafe { std::slice::from_raw_parts(src.as_ptr().cast(), src.len() * 8) }
-}
-
-fn copy_bytes(src: &[u8], dst: &mut [MaybeUninit<u8>]) {
-    assert_eq!(src.len(), dst.len());
-    // SAFETY: disjoint (dst is exclusive), equal lengths, u8 is Copy.
-    unsafe {
-        std::ptr::copy_nonoverlapping(src.as_ptr(), dst.as_mut_ptr().cast(), src.len());
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -994,30 +793,131 @@ mod tests {
         assert_eq!(escape_scan(&long, false), 100);
     }
 
-    /// Explicit-tier parity: when the hardware has AVX2/SSE2, pin those
-    /// kernels directly against scalar (not just whatever `level()`
-    /// picked). Skipped under Miri, which interprets portably.
+    /// One instantiation of the conversion kernels.
+    struct Tier {
+        name: &'static str,
+        bswap: fn(usize, &[u8], &mut [MaybeUninit<u8>]),
+        decode_i64: fn(&[u8], usize, bool, &mut [MaybeUninit<i64>]),
+        decode_f64: fn(&[u8], usize, bool, &mut [MaybeUninit<f64>]),
+        encode_i64: fn(&[i64], usize, bool, &mut [MaybeUninit<u8>]),
+        encode_f64: fn(&[f64], usize, bool, &mut [MaybeUninit<u8>]),
+    }
+
+    /// The portable bodies as the `Sse2` tier runs them.
+    const BASELINE: Tier = Tier {
+        name: "baseline",
+        bswap: body::bswap,
+        decode_i64: body::decode_i64,
+        decode_f64: body::decode_f64,
+        encode_i64: body::encode_i64,
+        encode_f64: body::encode_f64,
+    };
+
+    // SAFETY: used only after `is_x86_feature_detected!("avx2")`.
     #[cfg(all(target_arch = "x86_64", not(miri)))]
-    #[test]
-    fn explicit_tiers_match_scalar() {
+    const AVX2: Tier = Tier {
+        name: "avx2",
+        bswap: |w, s, d| unsafe { avx2::bswap(w, s, d) },
+        decode_i64: |s, w, x, d| unsafe { avx2::decode_i64(s, w, x, d) },
+        decode_f64: |s, w, x, d| unsafe { avx2::decode_f64(s, w, x, d) },
+        encode_i64: |s, w, x, d| unsafe { avx2::encode_i64(s, w, x, d) },
+        encode_f64: |s, w, x, d| unsafe { avx2::encode_f64(s, w, x, d) },
+    };
+
+    /// Runs `k` into `n` uninitialized bytes that start `off` bytes into
+    /// a fresh buffer, and returns those bytes.
+    fn at_offset(off: usize, n: usize, k: impl FnOnce(&mut [MaybeUninit<u8>])) -> Vec<u8> {
+        let mut v = vec![0u8; off];
+        v.reserve(n);
+        k(&mut v.spare_capacity_mut()[..n]);
+        // SAFETY: the kernel contract fills every element.
+        unsafe { v.set_len(off + n) };
+        v.split_off(off)
+    }
+
+    fn bits(v: Vec<f64>) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every kernel of `t` against `scalar`: each width, both swap
+    /// settings, buffers misaligned by 0..32 bytes (the byte side of each
+    /// kernel), and lengths around the vector and page widths.
+    fn check_tier(t: &Tier) {
+        const MAX: usize = 4097;
         let mut rng = SmallRng::seed_from_u64(0x7157);
-        let src: Vec<u8> = filled(4096 + 17, |_| rng.gen_below(256) as u8);
-        for &width in &[2usize, 4, 8] {
-            let n = src.len() - (src.len() % width);
-            let reference = run_bytes(&src[..n], 1, false, |s, _, _, d| scalar::bswap(width, s, d));
-            // SAFETY: feature checked before call.
-            if std::arch::is_x86_feature_detected!("avx2") {
-                for stream in [false, true] {
-                    let got = run_bytes(&src[..n], 1, false, |s, _, _, d| unsafe {
-                        x86::bswap_avx2(width, s, d, stream)
-                    });
-                    assert_eq!(got, reference, "avx2 width={width} stream={stream}");
+        let bytes: Vec<u8> = filled(MAX * 8 + 32, |_| rng.gen_below(256) as u8);
+        let ints: Vec<i64> = filled(MAX, |_| rng.next_u64() as i64);
+        let floats: Vec<f64> = filled(MAX, |i| (rng.gen_f64() - 0.5) * (i as f64 + 1.0) * 1e3);
+        for off in 0..32 {
+            for len in [0, 1, 15, 16, 17, 4095, MAX] {
+                for width in [1usize, 2, 4, 8] {
+                    let n = len * width;
+                    let src = &bytes[off..off + n];
+                    let case = format!("{} width={width} len={len} off={off}", t.name);
+                    if width > 1 {
+                        let got = at_offset(off, n, |d| (t.bswap)(width, src, d));
+                        let want = at_offset(0, n, |d| scalar::bswap(width, src, d));
+                        assert_eq!(got, want, "bswap {case}");
+                    }
+                    for swap in [false, true] {
+                        let case = format!("{case} swap={swap}");
+                        let got = run_i64(src, width, swap, t.decode_i64);
+                        let want = run_i64(src, width, swap, scalar::decode_i64);
+                        assert_eq!(got, want, "decode_i64 {case}");
+                        let ints = &ints[..len];
+                        let got = at_offset(off, n, |d| (t.encode_i64)(ints, width, swap, d));
+                        let want = at_offset(0, n, |d| scalar::encode_i64(ints, width, swap, d));
+                        assert_eq!(got, want, "encode_i64 {case}");
+                        if width < 4 {
+                            continue;
+                        }
+                        let got = bits(run_f64(src, width, swap, t.decode_f64));
+                        let want = bits(run_f64(src, width, swap, scalar::decode_f64));
+                        assert_eq!(got, want, "decode_f64 {case}");
+                        let floats = &floats[..len];
+                        let got = at_offset(off, n, |d| (t.encode_f64)(floats, width, swap, d));
+                        let want = at_offset(0, n, |d| scalar::encode_f64(floats, width, swap, d));
+                        assert_eq!(got, want, "encode_f64 {case}");
+                    }
                 }
             }
-            let got = run_bytes(&src[..n], 1, false, |s, _, _, d| unsafe {
-                x86::bswap_sse2(width, s, d)
-            });
-            assert_eq!(got, reference, "sse2 width={width}");
+        }
+    }
+
+    /// Both instantiations of every conversion kernel match `scalar`. The
+    /// baseline half runs everywhere, Miri included; the AVX2 half, with
+    /// the streaming swap called directly on every destination alignment
+    /// and through the AVX2 entry points at `NT_THRESHOLD`, runs where the
+    /// CPU has AVX2.
+    #[test]
+    fn every_kernel_instantiation_matches_scalar() {
+        check_tier(&BASELINE);
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            check_tier(&AVX2);
+            let mut rng = SmallRng::seed_from_u64(0x5713);
+            let bytes: Vec<u8> = filled(NT_THRESHOLD + 32, |_| rng.gen_below(256) as u8);
+            for width in [2usize, 4, 8] {
+                for off in 0..32 {
+                    // A head, 32-byte blocks and a tail on most offsets.
+                    let n = (100 + off) * width;
+                    let src = &bytes[off..off + n];
+                    // SAFETY: AVX2 detected above.
+                    let got = at_offset(off, n, |d| unsafe { x86::bswap_stream(width, src, d) });
+                    let want = at_offset(0, n, |d| scalar::bswap(width, src, d));
+                    assert_eq!(got, want, "bswap_stream width={width} off={off}");
+                }
+            }
+            let src = &bytes[1..NT_THRESHOLD + 1];
+            let got = at_offset(8, src.len(), |d| (AVX2.bswap)(8, src, d));
+            let want = at_offset(0, src.len(), |d| scalar::bswap(8, src, d));
+            assert_eq!(got, want, "streamed bytes");
+            let got = run_i64(src, 8, true, AVX2.decode_i64);
+            let want = run_i64(src, 8, true, scalar::decode_i64);
+            assert_eq!(got, want, "streamed i64");
+            let got = bits(run_f64(src, 8, true, AVX2.decode_f64));
+            let want = bits(run_f64(src, 8, true, scalar::decode_f64));
+            assert_eq!(got, want, "streamed f64");
         }
     }
 }
