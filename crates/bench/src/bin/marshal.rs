@@ -41,7 +41,7 @@ use sbq_bench::report::{short_mode, Bound, Obj, Report};
 use sbq_bench::{fmt_bytes, median, time_min};
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_pbio::{format::FormatOptions, plan, ByteOrder, ConversionPlan, FormatDesc, WireFrame};
-use sbq_runtime::{cpu_pool::marshal_pool, simd};
+use sbq_runtime::simd;
 use soap_binq::marshal;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem::MaybeUninit;
@@ -542,18 +542,7 @@ fn main() {
     let allocs = xml_decode_max_allocs as f64;
     report.gate("xml_decode_allocs_per_op", allocs, Bound::Le(10.0), true);
 
-    let pool = marshal_pool();
-    let stats = pool.stats();
-    let pool_json = Obj::new()
-        .put("threads", pool.threads())
-        .put("parallel_jobs", stats.parallel_jobs.load(Ordering::Relaxed))
-        .put(
-            "parallel_chunks",
-            stats.parallel_chunks.load(Ordering::Relaxed),
-        )
-        .put("steals", stats.steals.load(Ordering::Relaxed));
     let plan_ops = Obj::new().put("bulk", bulk_ops).put("scalar", scalar_ops);
-    report.set("pool", pool_json);
     report.set("plan_ops", plan_ops);
     report.set("rounds", REPS);
     report.set("rows", t.rows);

@@ -1,10 +1,12 @@
-//! Allocation and memory bounds of the XML decode path, measured with a
-//! counting global allocator.
+//! Allocation and memory bounds of the XML decode path and of the PBIO
+//! bulk array path, measured with a counting global allocator.
 //!
 //! Counting is per thread (the test harness runs tests concurrently), so
-//! each figure covers exactly the decode under test.
+//! each figure covers exactly the decode or encode under test.
 
 use sbq_model::{workload, TypeDesc, Value};
+use sbq_pbio::format::FormatOptions;
+use sbq_pbio::{plan, ByteOrder, ConversionPlan, FormatDesc};
 use soap_binq::envelope::{self, QosHeader};
 use soap_binq::{ProtocolError, SoapError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -168,4 +170,44 @@ fn entity_flood_is_rejected_within_twice_the_input() {
     let (result, _, peak) = measured(|| envelope::parse_envelope(&xml, |_| Some(TypeDesc::Str)));
     assert_eq!(result.unwrap().value, Value::Str("&".repeat((1 << 20) / 5)));
     assert!(peak <= 2 * xml.len(), "peak {peak} B for {} B", xml.len());
+}
+
+#[test]
+fn megabyte_pbio_arrays_convert_in_one_allocation_and_encode_in_none() {
+    // 1M f64 (8 MB): the bulk kernel runs once on the calling thread,
+    // writing straight into the decoded `Vec` or the reserved output.
+    let ty = float_list();
+    let value = workload::float_array(1_000_000, 11);
+    let native = FormatDesc::from_type(&ty, FormatOptions::default()).unwrap();
+    let swapped_bo = match ByteOrder::native() {
+        ByteOrder::Little => ByteOrder::Big,
+        ByteOrder::Big => ByteOrder::Little,
+    };
+    let swapped = FormatDesc::from_type(
+        &ty,
+        FormatOptions {
+            byte_order: swapped_bo,
+            ..FormatOptions::default()
+        },
+    )
+    .unwrap();
+    for wire in [&native, &swapped] {
+        let payload = plan::encode(&value, wire).unwrap();
+        let convert = ConversionPlan::compile(wire, &native).unwrap();
+        // The first execution latches the process-wide metrics handles.
+        assert_eq!(convert.execute(&payload).unwrap(), value);
+
+        let (decoded, allocs, _) = measured(|| convert.execute(&payload).unwrap());
+        assert_eq!(decoded, value);
+        assert_eq!(allocs, 1, "execute allocations, wire {:?}", wire.byte_order);
+
+        let mut out = Vec::with_capacity(payload.len());
+        let ((), allocs, _) = measured(|| plan::encode_into(&value, wire, &mut out).unwrap());
+        assert_eq!(out, payload);
+        assert_eq!(
+            allocs, 0,
+            "encode_into allocations, wire {:?}",
+            wire.byte_order
+        );
+    }
 }

@@ -30,7 +30,7 @@ pub mod wire;
 
 pub use endpoint::{EndpointStats, PbioEndpoint};
 pub use format::{ByteOrder, FieldDesc, FormatDesc, WireType};
-pub use plan::{set_parallel_threshold, ConversionPlan, DEFAULT_PAR_THRESHOLD};
+pub use plan::ConversionPlan;
 pub use remote::{serve_format_directory, RemoteFormatServer};
 pub use server::{FormatDirectory, FormatServer};
 pub use wire::{WireFrame, WireMessage, MSG_DATA, MSG_FORMAT_REG};

@@ -14,11 +14,12 @@
 //! dispatch to bulk kernels whenever a field is a run of fixed-width
 //! scalars:
 //!
-//! * **Arrays** (`IntArray`/`FloatArray`/`Bytes`/char lists) encode with a
-//!   single `resize` + `chunks_exact_mut` pass and decode with a single
-//!   bounds check + `chunks_exact` pass. When element width and byte order
-//!   match the host this compiles to a straight memcpy; otherwise the
-//!   byte swap rides the same bulk pass.
+//! * **Arrays** (`IntArray`/`FloatArray`/`Bytes`/char lists) take one
+//!   pass each way after a single bounds check. Int and float arrays are
+//!   one [`simd`] kernel call, writing straight into the output's
+//!   reserved spare capacity on encode and into a fresh `Vec` on decode.
+//!   When element width and byte order match the host this is a straight
+//!   memcpy; otherwise the byte swap rides the same bulk pass.
 //! * **Structs**: plan compilation *fuses* runs of contiguous fixed-width
 //!   scalar fields (stores and skips alike) into one [`PlanOp::BulkRun`]
 //!   executed with a single bounds check over the whole run, so the
@@ -36,11 +37,8 @@
 use crate::format::{ByteOrder, FormatDesc, WireType};
 use crate::PbioError;
 use sbq_model::{StructValue, Value};
-use sbq_runtime::cpu_pool::marshal_pool;
 use sbq_runtime::simd;
-use sbq_telemetry::{Counter, Gauge, Registry};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use sbq_telemetry::{Counter, Registry};
 use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
@@ -59,9 +57,6 @@ struct ExecCounters {
 struct PlanMetrics {
     bulk: Counter,
     scalar: Counter,
-    /// Mirrors of the marshal pool's monotonic fork/join totals.
-    pool_steals: Gauge,
-    pool_parallel_jobs: Gauge,
 }
 
 fn plan_metrics() -> &'static PlanMetrics {
@@ -74,8 +69,6 @@ fn plan_metrics() -> &'static PlanMetrics {
         PlanMetrics {
             bulk: reg.counter("pbio.plan.bulk_ops"),
             scalar: reg.counter("pbio.plan.scalar_ops"),
-            pool_steals: reg.gauge("pool.steals"),
-            pool_parallel_jobs: reg.gauge("pool.parallel_jobs"),
         }
     })
 }
@@ -92,103 +85,6 @@ impl ExecCounters {
         if self.scalar > 0 {
             m.scalar.add(self.scalar);
         }
-        // Read-only: if no bulk split ever ran, the pool was never
-        // spawned and the gauges simply stay at zero — flushing metrics
-        // must not create worker threads.
-        if let Some(pool) = sbq_runtime::cpu_pool::try_marshal_pool() {
-            let stats = pool.stats();
-            m.pool_steals
-                .set(stats.steals.load(Ordering::Relaxed) as i64);
-            m.pool_parallel_jobs
-                .set(stats.parallel_jobs.load(Ordering::Relaxed) as i64);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel split policy
-// ---------------------------------------------------------------------------
-
-/// Array payloads at or above this many bytes are split across the
-/// marshal pool; below it the fork/join overhead (one queue submission
-/// per helper, ~µs) isn't worth amortizing, so small messages stay on
-/// the calling thread. Overridable per-process with
-/// `SBQ_PAR_THRESHOLD` (bytes) and at runtime via
-/// [`set_parallel_threshold`].
-pub const DEFAULT_PAR_THRESHOLD: usize = 4 << 20;
-
-/// Target bytes per parallel chunk: comfortably cache-sized, large
-/// enough that a chunk is hundreds of microseconds of kernel work.
-const PAR_CHUNK_BYTES: usize = 1 << 20;
-
-fn par_threshold_cell() -> &'static AtomicUsize {
-    static T: OnceLock<AtomicUsize> = OnceLock::new();
-    T.get_or_init(|| {
-        let t = std::env::var("SBQ_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_PAR_THRESHOLD);
-        AtomicUsize::new(t.max(1))
-    })
-}
-
-/// Overrides the byte threshold above which bulk array kernels split
-/// across the marshal pool. Exposed for tests (which lower it to force
-/// the parallel path on small payloads) and for operational tuning.
-pub fn set_parallel_threshold(bytes: usize) {
-    par_threshold_cell().store(bytes.max(1), Ordering::Relaxed);
-}
-
-/// Number of chunks to split `total_bytes` of kernel work into, or
-/// `None` when the payload should stay serial.
-fn parallel_chunks(total_bytes: usize, elems: usize) -> Option<usize> {
-    if elems < 2 || total_bytes < par_threshold_cell().load(Ordering::Relaxed) {
-        return None;
-    }
-    Some((total_bytes / PAR_CHUNK_BYTES).clamp(2, 64).min(elems))
-}
-
-/// Raw-pointer wrapper so disjoint destination ranges can be written
-/// from pool workers. Soundness is the caller's obligation: every chunk
-/// closure must touch only its own `[lo, hi)` element range.
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field access) so closures capture the
-    /// `Sync` wrapper, not the raw pointer field itself.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-/// Runs `kernel(lo, hi, dst_ptr)` over `[0, elems)` — in parallel chunks
-/// on the marshal pool when the payload is large enough, serially
-/// otherwise. `kernel` must write exactly the elements in its range.
-fn run_chunked<T>(
-    elems: usize,
-    elem_bytes: usize,
-    dst: &mut [MaybeUninit<T>],
-    kernel: impl Fn(usize, usize, *mut MaybeUninit<T>) + Sync,
-) {
-    let ptr = dst.as_mut_ptr();
-    match parallel_chunks(elems * elem_bytes, elems) {
-        Some(chunks) => {
-            let per = elems.div_ceil(chunks);
-            let shared = SendPtr(ptr);
-            marshal_pool().run_parallel(chunks, &|i| {
-                let lo = i * per;
-                let hi = ((i + 1) * per).min(elems);
-                if lo < hi {
-                    // SAFETY: chunk element ranges are disjoint; the
-                    // pointer stays valid because run_parallel joins
-                    // before run_chunked returns (dst outlives the call).
-                    kernel(lo, hi, shared.get());
-                }
-            });
-        }
-        None => kernel(0, elems, ptr),
     }
 }
 
@@ -344,25 +240,19 @@ fn encode_field(
 
 /// Bulk int-array encode: the SIMD dispatch layer packs straight into
 /// the output `Vec`'s reserved spare capacity (written exactly once, no
-/// staging copy and no zero-fill), splitting across the marshal pool
-/// above the parallel threshold.
+/// staging copy and no zero-fill).
 fn encode_int_array(out: &mut Vec<u8>, v: &[i64], width: u8, bo: ByteOrder) {
     let w = width as usize;
     let total = v.len() * w;
     out.reserve(total);
     let old = out.len();
-    let swap = wire_swapped(bo);
-    run_chunked(
-        v.len(),
+    simd::encode_i64(
+        v,
         w,
+        wire_swapped(bo),
         &mut out.spare_capacity_mut()[..total],
-        |lo, hi, p| {
-            // SAFETY: [lo*w, hi*w) stays inside the `total`-byte reservation.
-            let d = unsafe { std::slice::from_raw_parts_mut(p.add(lo * w), (hi - lo) * w) };
-            simd::encode_i64(&v[lo..hi], w, swap, d);
-        },
     );
-    // SAFETY: run_chunked's kernels covered every byte of the reservation.
+    // SAFETY: the kernel wrote every byte of the `total`-byte reservation.
     unsafe { out.set_len(old + total) };
 }
 
@@ -373,18 +263,13 @@ fn encode_float_array(out: &mut Vec<u8>, v: &[f64], width: u8, bo: ByteOrder) {
     let total = v.len() * w;
     out.reserve(total);
     let old = out.len();
-    let swap = wire_swapped(bo);
-    run_chunked(
-        v.len(),
+    simd::encode_f64(
+        v,
         w,
+        wire_swapped(bo),
         &mut out.spare_capacity_mut()[..total],
-        |lo, hi, p| {
-            // SAFETY: [lo*w, hi*w) stays inside the `total`-byte reservation.
-            let d = unsafe { std::slice::from_raw_parts_mut(p.add(lo * w), (hi - lo) * w) };
-            simd::encode_f64(&v[lo..hi], w, swap, d);
-        },
     );
-    // SAFETY: run_chunked's kernels covered every byte of the reservation.
+    // SAFETY: the kernel wrote every byte of the `total`-byte reservation.
     unsafe { out.set_len(old + total) };
 }
 
@@ -851,7 +736,7 @@ fn read_value(
         WireType::List(e) => {
             let n = read_u32(buf, pos, bo)? as usize;
             match **e {
-                // Bulk kernels: one bounds check, one chunked pass.
+                // Bulk kernels: one bounds check, one kernel pass.
                 WireType::Int { width } => {
                     let bytes = take_array(buf, pos, n, width as usize)?;
                     ctr.bulk += 1;
@@ -893,20 +778,13 @@ fn read_value(
 
 /// Bulk int-array decode: the SIMD dispatch layer fills freshly
 /// reserved `Vec` capacity in one pass (byte swap + sign extension
-/// fused), splitting across the marshal pool above the parallel
-/// threshold. Width-8 host-order degenerates to memcpy.
+/// fused). Width-8 host-order degenerates to memcpy.
 fn decode_int_array(bytes: &[u8], width: u8, bo: ByteOrder) -> Vec<i64> {
     let w = width as usize;
     let n = bytes.len() / w;
-    let swap = wire_swapped(bo);
     let mut v: Vec<i64> = Vec::with_capacity(n);
-    run_chunked(n, w, &mut v.spare_capacity_mut()[..n], |lo, hi, p| {
-        // SAFETY: [lo, hi) element ranges are disjoint and within the
-        // `n`-element reservation.
-        let d = unsafe { std::slice::from_raw_parts_mut(p.add(lo), hi - lo) };
-        simd::decode_i64(&bytes[lo * w..hi * w], w, swap, d);
-    });
-    // SAFETY: run_chunked's kernels wrote every element of the reservation.
+    simd::decode_i64(bytes, w, wire_swapped(bo), &mut v.spare_capacity_mut()[..n]);
+    // SAFETY: the kernel wrote every element of the `n`-element reservation.
     unsafe { v.set_len(n) };
     v
 }
@@ -916,15 +794,9 @@ fn decode_int_array(bytes: &[u8], width: u8, bo: ByteOrder) -> Vec<i64> {
 fn decode_float_array(bytes: &[u8], width: u8, bo: ByteOrder) -> Vec<f64> {
     let w = width as usize;
     let n = bytes.len() / w;
-    let swap = wire_swapped(bo);
     let mut v: Vec<f64> = Vec::with_capacity(n);
-    run_chunked(n, w, &mut v.spare_capacity_mut()[..n], |lo, hi, p| {
-        // SAFETY: [lo, hi) element ranges are disjoint and within the
-        // `n`-element reservation.
-        let d = unsafe { std::slice::from_raw_parts_mut(p.add(lo), hi - lo) };
-        simd::decode_f64(&bytes[lo * w..hi * w], w, swap, d);
-    });
-    // SAFETY: run_chunked's kernels wrote every element of the reservation.
+    simd::decode_f64(bytes, w, wire_swapped(bo), &mut v.spare_capacity_mut()[..n]);
+    // SAFETY: the kernel wrote every element of the `n`-element reservation.
     unsafe { v.set_len(n) };
     v
 }
@@ -1549,59 +1421,6 @@ mod tests {
             let bytes = encode(&v, &d).unwrap();
             assert_eq!(bytes.len(), 4 + 256);
             assert_eq!(decode(&bytes, &d).unwrap(), v, "bo={bo:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_split_matches_serial_bit_for_bit() {
-        // Force the pool split on a small payload, then compare against
-        // the serial path. Threshold is a process global; other tests
-        // only observe values (the split is value-transparent), and it
-        // is restored at the end.
-        let vals = workload::float_array(20_000, 77);
-        let ints = workload::int_array(20_000, 78);
-        for bo in [ByteOrder::Little, ByteOrder::Big] {
-            let df = fmt(
-                &TypeDesc::list_of(TypeDesc::Float),
-                FormatOptions {
-                    byte_order: bo,
-                    ..Default::default()
-                },
-            );
-            let di = fmt(
-                &TypeDesc::list_of(TypeDesc::Int),
-                FormatOptions {
-                    byte_order: bo,
-                    ..Default::default()
-                },
-            );
-            set_parallel_threshold(usize::MAX);
-            let serial_f = encode(&vals, &df).unwrap();
-            let serial_i = encode(&ints, &di).unwrap();
-            let serial_fd = decode(&serial_f, &df).unwrap();
-            let serial_id = decode(&serial_i, &di).unwrap();
-
-            set_parallel_threshold(1);
-            let jobs0 = marshal_pool().stats().parallel_jobs.load(Ordering::Relaxed);
-            let par_f = encode(&vals, &df).unwrap();
-            let par_i = encode(&ints, &di).unwrap();
-            assert_eq!(par_f, serial_f, "float encode bo={bo:?}");
-            assert_eq!(par_i, serial_i, "int encode bo={bo:?}");
-            assert_eq!(
-                decode(&par_f, &df).unwrap(),
-                serial_fd,
-                "float decode bo={bo:?}"
-            );
-            assert_eq!(
-                decode(&par_i, &di).unwrap(),
-                serial_id,
-                "int decode bo={bo:?}"
-            );
-            assert!(
-                marshal_pool().stats().parallel_jobs.load(Ordering::Relaxed) > jobs0,
-                "the parallel path actually forked"
-            );
-            set_parallel_threshold(DEFAULT_PAR_THRESHOLD);
         }
     }
 

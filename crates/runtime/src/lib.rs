@@ -15,8 +15,7 @@
 //!   event-driven I/O core the HTTP transport multiplexes thousands of
 //!   keep-alive connections on.
 //! * [`cpu_pool`] — a small fixed [`CpuPool`] for the CPU-bound half of
-//!   that split (handler and marshal work dispatched off the event loop),
-//!   with a work-stealing `run_parallel` for splitting bulk marshal work.
+//!   that split (handler and marshal work dispatched off the event loop).
 //! * [`simd`] — bulk marshal kernels (byte swap, widen, `f32`↔`f64`,
 //!   narrowing encode): one portable body each, compiled at the baseline
 //!   and for AVX2 and picked by one-time latched feature detection, plus

@@ -66,7 +66,7 @@ pub trait PoolObserver: Send + Sync {
 
 /// Snapshot of pool counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
+pub struct BufferPoolStats {
     /// `get` calls served from the free list.
     pub hits: u64,
     /// `get` calls that had to allocate.
@@ -216,9 +216,9 @@ impl BufferPool {
     }
 
     /// Counter snapshot.
-    pub fn stats(&self) -> PoolStats {
+    pub fn stats(&self) -> BufferPoolStats {
         let i = &self.inner;
-        PoolStats {
+        BufferPoolStats {
             hits: i.hits.load(Ordering::Relaxed),
             misses: i.misses.load(Ordering::Relaxed),
             recycled: i.recycled.load(Ordering::Relaxed),
